@@ -589,8 +589,10 @@ class RegClusterMiner {
   /// single bit probes, appending survivors to the frame's scored columns;
   /// the score column receives the coherence *numerator* (the caller runs
   /// one divide pass over it).  Returns the number of surviving p-members
-  /// (the p/n split point of the scored columns).
-  int FilterCandidate(int cand, NodeFrame* node) const;
+  /// (the p/n split point of the scored columns).  When fewer than
+  /// `min_keep` members survive, the scored columns are left empty and
+  /// nothing is decoded or gathered (pruning 1, counted first).
+  int FilterCandidate(int cand, int min_keep, NodeFrame* node) const;
 
   /// Emits the node's cluster if it validates and is representative.
   /// Returns false when the branch should be pruned (duplicate).

@@ -72,6 +72,14 @@ inline void CopyWords(uint64_t* dst, const uint64_t* src, int words) {
   for (int w = 0; w < words; ++w) dst[w] = src[w];
 }
 
+/// Population count of the row (the count-first MinG test of miner
+/// FilterCandidate: a candidate's member bitmap, before any gather).
+inline int PopcountWords(const uint64_t* a, int words) {
+  int count = 0;
+  for (int w = 0; w < words; ++w) count += std::popcount(a[w]);
+  return count;
+}
+
 /// Population count of a[w] & ~b[w] & mask[w] over the row (the pruning-2
 /// drop counter of miner PrepareNode: regulation-linked but MinC-cut).
 inline int64_t AndNotMaskPopcount(const uint64_t* a, const uint64_t* b,

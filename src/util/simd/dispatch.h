@@ -59,9 +59,11 @@ StatusOr<Level> ParseLevel(const std::string& name);
 /// its cached denominator, and the coherence numerator
 /// matrix[row_off[i] + cand] - bases[i].  `row_off` carries each member's
 /// precomputed gene-major row offset (gene * num_conditions).  Head
-/// positions are deliberately NOT gathered here: ~97% of extensions are
-/// coherence-pruned and never need them, so the miner looks positions up
-/// lazily when a window actually spawns a child.
+/// positions are deliberately NOT gathered here: most gathered extensions
+/// are coherence-pruned and never need them (237,058 of 261,628, 90.6%, on
+/// the benchmark's mine_tight; on mine_loose 99.5% fail MinG and are
+/// dropped before any gather), so the miner looks positions up lazily when
+/// a window actually spawns a child.
 struct GatherScoredArgs {
   const int* genes = nullptr;      ///< per member: gene id
   const double* denoms = nullptr;  ///< per member: cached denominator

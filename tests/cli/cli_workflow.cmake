@@ -39,3 +39,37 @@ run(${CLI} convert --in=${WORKDIR}/m.tsv --out=${WORKDIR}/m.csv
 if(NOT EXISTS ${WORKDIR}/m.csv)
   message(FATAL_ERROR "missing m.csv")
 endif()
+
+# Numeric flags parse strictly: a malformed, partial or out-of-range value
+# is a usage error (exit 2) naming the flag, never a silently wrong number.
+function(run_usage_error)
+  execute_process(COMMAND ${ARGV} RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "expected usage error (2), got ${rc}: ${ARGV}\n${out}\n${err}")
+  endif()
+  if(NOT err MATCHES "invalid numeric value")
+    message(FATAL_ERROR "usage error does not name the bad value: ${ARGV}\n${err}")
+  endif()
+endfunction()
+file(REMOVE ${WORKDIR}/bad.txt ${WORKDIR}/bad.tsv)
+foreach(bad --threads=4x --ming=30abc --epsilon=0.5zz)
+  run_usage_error(${CLI} mine --matrix=${WORKDIR}/m.tsv
+      --out=${WORKDIR}/bad.txt --minc=5 --gamma=0.1 ${bad})
+endforeach()
+run_usage_error(${CLI} generate --out-matrix=${WORKDIR}/bad.tsv --seed=-1)
+run_usage_error(${CLI} generate --out-matrix=${WORKDIR}/bad.tsv
+    --seed=18446744073709551616)
+if(EXISTS ${WORKDIR}/bad.txt OR EXISTS ${WORKDIR}/bad.tsv)
+  message(FATAL_ERROR "a rejected command wrote output")
+endif()
+
+# --seed takes the full uint64_t range: 2^32 + 1 is not seed 1.
+run(${CLI} generate --out-matrix=${WORKDIR}/s1.tsv --genes=40 --conditions=8
+    --clusters=1 --gene-fraction=0.1 --seed=1)
+run(${CLI} generate --out-matrix=${WORKDIR}/s2.tsv --genes=40 --conditions=8
+    --clusters=1 --gene-fraction=0.1 --seed=4294967297)
+file(READ ${WORKDIR}/s1.tsv s1)
+file(READ ${WORKDIR}/s2.tsv s2)
+if(s1 STREQUAL s2)
+  message(FATAL_ERROR "--seed=4294967297 wrote the same matrix as --seed=1")
+endif()

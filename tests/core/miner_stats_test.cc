@@ -12,14 +12,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/miner.h"
 #include "io/json_export.h"
 #include "synth/generator.h"
 #include "testing/paper_data.h"
+#include "util/hash128.h"
 
 namespace regcluster {
 namespace core {
@@ -149,6 +153,125 @@ TEST(MinerStatsTest, CountersStableAcrossRepeatedRuns) {
     }
   }
 }
+
+// Pinned golden values: the 12 deterministic counters and a digest of the
+// canonical cluster JSON for fixed seeded inputs.  The tests above prove
+// counters invariant across threads and repeats within one build; these
+// literals pin them across commits, so a search optimization that is meant
+// to be conservative (prune earlier, same result) must reproduce every
+// count and every cluster byte.  Update a literal only for a change that is
+// *meant* to alter the search, and say so in the change log.
+struct GoldenCase {
+  const char* name;
+  double epsilon;
+  /// kPlain, or the one option that differs from the GoldenOptions() base.
+  enum Variant {
+    kPlain,
+    kRequiredGenes,
+    kAllowedConditions,
+    kClosedChains,
+    kNoMinGenesPrune
+  } variant;
+  std::vector<int64_t> counters;
+  const char* digest;  ///< Fnv128 of the cluster JSON, hi:lo in hex
+};
+
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
+
+synth::SyntheticConfig GoldenConfig() {
+  synth::SyntheticConfig cfg;
+  cfg.num_genes = 240;
+  cfg.num_conditions = 14;
+  cfg.num_clusters = 5;
+  cfg.avg_cluster_genes_fraction = 0.05;
+  cfg.seed = 2024;
+  return cfg;
+}
+
+MinerOptions GoldenOptions(const GoldenCase& c,
+                           const synth::SyntheticDataset& ds) {
+  MinerOptions o;
+  o.min_genes = 6;
+  o.min_conditions = 5;
+  o.gamma = 0.1;
+  o.epsilon = c.epsilon;
+  switch (c.variant) {
+    case GoldenCase::kPlain:
+      break;
+    case GoldenCase::kRequiredGenes:
+      o.required_genes = {ds.implants[0].p_genes[0]};
+      break;
+    case GoldenCase::kAllowedConditions:
+      o.allowed_conditions = {0, 1, 2, 4, 5, 7, 8, 10, 11, 13};
+      break;
+    case GoldenCase::kClosedChains:
+      o.closed_chains_only = true;
+      break;
+    case GoldenCase::kNoMinGenesPrune:
+      o.prune_min_genes = false;
+      break;
+  }
+  return o;
+}
+
+std::string DigestHex(const std::string& text) {
+  const util::Hash128 h =
+      util::Fnv128().MixBytes(text.data(), text.size()).Digest();
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64 ":%016" PRIx64, h.hi, h.lo);
+  return buf;
+}
+
+// Recorded before count-first filtering (the MinG prune ahead of the
+// FilterCandidate gather), which reproduces every value.
+const GoldenCase kGoldenCases[] = {
+    {"Loose", 0.5, GoldenCase::kPlain,
+     {2133, 11818, 9348, 331, 8, 1251, 60169, 35, 61592, 2288, 25325, 43},
+     "f293aa8c7d6803aa:5c469463a95931b0"},
+    {"Tight", 0.01, GoldenCase::kPlain,
+     {334, 2544, 193, 6, 0, 2031, 51234, 33, 32381, 2169, 24324, 33},
+     "923ce90be186bfab:b15e41f2cf9659e8"},
+    {"RequiredGenes", 0.5, GoldenCase::kRequiredGenes,
+     {175, 1282, 582, 19, 0, 258, 26192, 1, 13406, 544, 6605, 1},
+     "9763730d86e6d3e0:cb6053da966f37a7"},
+    {"AllowedConditions", 0.5, GoldenCase::kAllowedConditions,
+     {734, 2876, 2072, 120, 0, 400, 23068, 2, 26149, 714, 7959, 2},
+     "729f807057db16dd:b556c2f10ab33e7d"},
+    {"ClosedChains", 0.5, GoldenCase::kClosedChains,
+     {2133, 11818, 9348, 331, 8, 1251, 60169, 28, 61851, 2288, 25325, 36},
+     "d3435671f39047cc:c8c7af5c34fd748f"},
+    // Same clusters as Tight: with the prune off, short candidates are
+    // scored and coherence-pruned instead (pruned_min_genes 0).
+    {"NoMinGenesPrune", 0.01, GoldenCase::kNoMinGenesPrune,
+     {334, 2544, 0, 6, 0, 2224, 51234, 33, 32381, 2362, 25088, 33},
+     "923ce90be186bfab:b15e41f2cf9659e8"},
+};
+
+class MinerStatsGolden
+    : public ::testing::TestWithParam<std::tuple<GoldenCase, int>> {};
+
+TEST_P(MinerStatsGolden, CountersAndClustersMatchPinnedValues) {
+  const GoldenCase& c = std::get<0>(GetParam());
+  auto ds = synth::GenerateSynthetic(GoldenConfig());
+  ASSERT_TRUE(ds.ok());
+  MinerOptions opts = GoldenOptions(c, *ds);
+  opts.num_threads = std::get<1>(GetParam());
+  RegClusterMiner miner(ds->data, opts);
+  auto clusters = miner.Mine();
+  ASSERT_TRUE(clusters.ok());
+  EXPECT_EQ(DeterministicCounters(miner.stats()), c.counters) << c.name;
+  EXPECT_EQ(DigestHex(ClustersDigest(*clusters, ds->data)), c.digest)
+      << c.name << " (" << clusters->size() << " clusters)";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pinned, MinerStatsGolden,
+    ::testing::Combine(::testing::ValuesIn(kGoldenCases),
+                       ::testing::Values(1, 4)),
+    [](const ::testing::TestParamInfo<MinerStatsGolden::ParamType>& info) {
+      return std::string(std::get<0>(info.param).name) + "_T" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST(MinerStatsTest, OutcomeTelemetryPopulated) {
   const auto data = regcluster::testing::RunningDataset();

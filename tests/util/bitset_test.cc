@@ -88,6 +88,38 @@ TEST(BitsetTest, ForEachSetBitFullWords) {
   EXPECT_EQ(calls, 128);
 }
 
+TEST(BitsetTest, PopcountWordsMatchesPerBitLoop) {
+  const auto per_bit = [](const std::vector<uint64_t>& row) {
+    int count = 0;
+    for (size_t b = 0; b < row.size() * kBitsPerWord; ++b) {
+      count += TestBit(row.data(), static_cast<int>(b)) ? 1 : 0;
+    }
+    return count;
+  };
+  const uint64_t high = uint64_t{1} << 63;
+  const std::vector<std::vector<uint64_t>> rows = {
+      {},
+      {0},
+      {1},
+      {high},
+      {~uint64_t{0}},
+      {0x8000000000000001ULL, 0, high, 0xF0F0F0F0F0F0F0F0ULL},
+      {~uint64_t{0}, ~uint64_t{0}, ~uint64_t{0}},
+      {high, high, high, high, high},
+  };
+  for (const auto& row : rows) {
+    EXPECT_EQ(PopcountWords(row.data(), static_cast<int>(row.size())),
+              per_bit(row))
+        << row.size() << "-word row";
+  }
+  // A prefix counts only its own words.
+  const std::vector<uint64_t> row = {~uint64_t{0}, high, 0x5ULL};
+  EXPECT_EQ(PopcountWords(row.data(), 0), 0);
+  EXPECT_EQ(PopcountWords(row.data(), 1), 64);
+  EXPECT_EQ(PopcountWords(row.data(), 2), 65);
+  EXPECT_EQ(PopcountWords(row.data(), 3), 67);
+}
+
 }  // namespace
 }  // namespace util
 }  // namespace regcluster

@@ -13,11 +13,13 @@
 // Exit codes (stable contract, also documented in README.md):
 //   0  success
 //   1  runtime error (I/O failure, invalid data, failed validation)
-//   2  usage error (unknown command/flag, missing required flag)
+//   2  usage error (unknown command/flag, missing required flag, a
+//      numeric flag value that is malformed or out of range)
 //   3  mining truncated by a budget, deadline or cancellation -- the
 //      partial outputs on disk are valid and complete as written
 
 #include <atomic>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -108,19 +110,19 @@ class Flags {
   }
 
   int GetInt(const std::string& name, int fallback) {
-    const std::string v = GetString(name, "");
-    return v.empty() ? fallback : std::atoi(v.c_str());
+    return GetNumber(name, fallback);
   }
 
   int64_t GetInt64(const std::string& name, int64_t fallback) {
-    const std::string v = GetString(name, "");
-    if (v.empty()) return fallback;
-    return static_cast<int64_t>(std::strtoll(v.c_str(), nullptr, 10));
+    return GetNumber(name, fallback);
+  }
+
+  uint64_t GetUint64(const std::string& name, uint64_t fallback) {
+    return GetNumber(name, fallback);
   }
 
   double GetDouble(const std::string& name, double fallback) {
-    const std::string v = GetString(name, "");
-    return v.empty() ? fallback : std::atof(v.c_str());
+    return GetNumber(name, fallback);
   }
 
   bool GetBool(const std::string& name, bool fallback = false) {
@@ -132,6 +134,10 @@ class Flags {
   /// Returns InvalidArgument when an unconsumed flag remains (typo
   /// protection).  Call after the last Get*.
   util::Status RejectUnknown() const {
+    if (!bad_values_.empty()) {
+      return util::Status::InvalidArgument("invalid numeric value: " +
+                                           bad_values_.front());
+    }
     for (const auto& [name, value] : values_) {
       (void)value;
       if (used_.find(name) == used_.end()) {
@@ -144,8 +150,26 @@ class Flags {
  private:
   Flags() = default;
 
+  /// Parses the whole value as a T in T's full range.  A malformed,
+  /// partial ("4x") or out-of-range value is recorded for RejectUnknown()
+  /// to report, and `fallback` stands in until then.
+  template <typename T>
+  T GetNumber(const std::string& name, T fallback) {
+    const std::string v = GetString(name, "");
+    if (v.empty()) return fallback;
+    T out{};
+    const char* end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+    if (ec != std::errc() || ptr != end) {
+      bad_values_.push_back("--" + name + "=" + v);
+      return fallback;
+    }
+    return out;
+  }
+
   std::map<std::string, std::string> values_;
   std::set<std::string> used_;
+  std::vector<std::string> bad_values_;
 };
 
 int Fail(const util::Status& status) {
@@ -230,7 +254,7 @@ int CmdGenerate(Flags* flags) {
   synth::SyntheticDataset ds;
   if (flags->GetBool("yeast")) {
     synth::YeastSurrogateConfig cfg;
-    cfg.seed = static_cast<uint64_t>(flags->GetInt("seed", 1999));
+    cfg.seed = flags->GetUint64("seed", 1999);
     cfg.num_modules = flags->GetInt("clusters", 25);
     cfg.noise_fraction = flags->GetDouble("noise", 0.05);
     if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
@@ -246,7 +270,7 @@ int CmdGenerate(Flags* flags) {
     cfg.avg_cluster_conditions = flags->GetInt("dim", 6);
     cfg.negative_fraction = flags->GetDouble("negative-fraction", 0.3);
     cfg.noise_fraction = flags->GetDouble("noise", 0.0);
-    cfg.seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
+    cfg.seed = flags->GetUint64("seed", 42);
     if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
     auto made = synth::GenerateSynthetic(cfg);
     if (!made.ok()) return Fail(made.status());
@@ -1292,7 +1316,7 @@ int CmdSignificance(Flags* flags) {
   opts.gamma_spec.gamma = flags->GetDouble("gamma", 0.05);
   opts.epsilon = flags->GetDouble("epsilon", 1.0);
   opts.permutations = flags->GetInt("permutations", 2000);
-  opts.seed = static_cast<uint64_t>(flags->GetInt("seed", 101));
+  opts.seed = flags->GetUint64("seed", 101);
   if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
 
   auto data_or = LoadMatrixArg(matrix_path);
