@@ -36,6 +36,21 @@ bool LexSmallerThanReversed(const std::vector<int>& chain) {
   return false;  // palindromic (only possible for length 1)
 }
 
+int64_t NowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Approximate heap footprint of a vector (capacity, not size: the arenas
+/// hold their high-water mark).
+template <typename T>
+int64_t VecBytes(const std::vector<T>& v) {
+  return static_cast<int64_t>(v.capacity() * sizeof(T));
+}
+
+}  // namespace
+
 void AccumulateStats(const MinerStats& from, MinerStats* to) {
   to->nodes_expanded += from.nodes_expanded;
   to->extensions_tested += from.extensions_tested;
@@ -54,21 +69,6 @@ void AccumulateStats(const MinerStats& from, MinerStats* to) {
   to->sort_ns += from.sort_ns;
   to->emit_ns += from.emit_ns;
 }
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Approximate heap footprint of a vector (capacity, not size: the arenas
-/// hold their high-water mark).
-template <typename T>
-int64_t VecBytes(const std::vector<T>& v) {
-  return static_cast<int64_t>(v.capacity() * sizeof(T));
-}
-
-}  // namespace
 
 /// One DFS node's reusable state.  The member columns are struct-of-arrays
 /// (MemberCols), and the per-node caches below are parallel to them:

@@ -380,6 +380,13 @@ struct MinerStats {
   int64_t emit_ns = 0;    ///< dedup keying + cluster materialization
 };
 
+/// Adds the counters that partition across roots -- every deterministic
+/// counter except index_builds, plus the profiling *_ns -- from `from` into
+/// `to`.  The run-level fields (index_builds, *_seconds) are set once per
+/// run, not summed.  Mine() merges its per-root contexts with it; drivers
+/// that splice root slices (io::RootLedger) sum them the same way.
+void AccumulateStats(const MinerStats& from, MinerStats* to);
+
 /// One root's slice of a mining run, captured when
 /// MinerOptions::capture_root_results is set: the root id, the root's own
 /// deterministic counters, and the clusters emitted under it in canonical

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <limits>
 #include <utility>
 
-#include "core/bicluster.h"
 #include "core/threshold.h"
 #include "util/durable_file.h"
 #include "util/simd/dispatch.h"
@@ -18,217 +16,21 @@ namespace io {
 namespace {
 
 constexpr char kMagic[8] = {'R', 'G', 'C', 'X', 'C', 'K', 'P', '1'};
-constexpr uint32_t kVersion = 1;
-constexpr uint32_t kEndianTag = 0x01020304;
+// Version 2: a mine body is the root ledger's records plus a progress
+// record.  Version-1 snapshots (a cluster prefix with summed stats) are
+// refused by name rather than converted.
+constexpr uint32_t kVersion = 2;
+constexpr uint32_t kVersionBeforeLedger = 1;
 constexpr size_t kPreambleBytes = 28;  // magic + version + endian + kind + gen
+constexpr const char* kNoun = "checkpoint";
 
-// Record tags, in required file order.
-constexpr uint32_t kTagContext = 1;
-constexpr uint32_t kTagProgress = 2;
-constexpr uint32_t kTagStats = 3;
-constexpr uint32_t kTagClusters = 4;
+// Record tags.  A mine body opens with the ledger's records (tags 1-3, see
+// io/root_ledger.h), so its progress record takes a tag of its own.
+constexpr uint32_t kTagSweepContext = 1;
 constexpr uint32_t kTagSweepAggregate = 5;
 constexpr uint32_t kTagSweepRun = 6;
 constexpr uint32_t kTagEnd = 7;
-
-// ---------------------------------------------------------------------------
-// Little-endian primitive encoding.
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutDouble(std::string* out, double v) {
-  PutU64(out, std::bit_cast<uint64_t>(v));
-}
-
-void PutString(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-void PutIntVector(std::string* out, const std::vector<int>& v) {
-  PutU32(out, static_cast<uint32_t>(v.size()));
-  for (int x : v) PutU32(out, static_cast<uint32_t>(x));
-}
-
-// Bounds-checked sequential decoder over one record payload.  Any overrun is
-// the same kind of damage as a torn write, so it reports kCorruption with the
-// field context.
-class Cursor {
- public:
-  explicit Cursor(std::string_view data) : data_(data) {}
-
-  util::Status ReadU32(const char* field, uint32_t* v) {
-    REGCLUSTER_RETURN_IF_ERROR(Need(field, 4));
-    uint32_t r = 0;
-    for (int i = 0; i < 4; ++i) {
-      r |= static_cast<uint32_t>(
-               static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    *v = r;
-    pos_ += 4;
-    return util::Status::OK();
-  }
-
-  util::Status ReadU64(const char* field, uint64_t* v) {
-    REGCLUSTER_RETURN_IF_ERROR(Need(field, 8));
-    uint64_t r = 0;
-    for (int i = 0; i < 8; ++i) {
-      r |= static_cast<uint64_t>(
-               static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    *v = r;
-    pos_ += 8;
-    return util::Status::OK();
-  }
-
-  util::Status ReadI64(const char* field, int64_t* v) {
-    uint64_t u = 0;
-    REGCLUSTER_RETURN_IF_ERROR(ReadU64(field, &u));
-    *v = static_cast<int64_t>(u);
-    return util::Status::OK();
-  }
-
-  util::Status ReadDouble(const char* field, double* v) {
-    uint64_t u = 0;
-    REGCLUSTER_RETURN_IF_ERROR(ReadU64(field, &u));
-    *v = std::bit_cast<double>(u);
-    return util::Status::OK();
-  }
-
-  util::Status ReadString(const char* field, std::string* v) {
-    uint32_t len = 0;
-    REGCLUSTER_RETURN_IF_ERROR(ReadU32(field, &len));
-    REGCLUSTER_RETURN_IF_ERROR(Need(field, len));
-    v->assign(data_.data() + pos_, len);
-    pos_ += len;
-    return util::Status::OK();
-  }
-
-  util::Status ReadIntVector(const char* field, std::vector<int>* v) {
-    uint32_t count = 0;
-    REGCLUSTER_RETURN_IF_ERROR(ReadU32(field, &count));
-    REGCLUSTER_RETURN_IF_ERROR(Need(field, 4ull * count));
-    v->resize(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      uint32_t x = 0;
-      (void)ReadU32(field, &x);  // bounds already checked
-      (*v)[i] = static_cast<int>(x);
-    }
-    return util::Status::OK();
-  }
-
-  util::Status ExpectDone(const char* record) {
-    if (pos_ != data_.size()) {
-      return util::Status::Corruption(
-          std::string("trailing bytes in checkpoint record ") + record);
-    }
-    return util::Status::OK();
-  }
-
- private:
-  util::Status Need(const char* field, uint64_t bytes) {
-    if (data_.size() - pos_ < bytes) {
-      return util::Status::Corruption(
-          std::string("truncated checkpoint field ") + field);
-    }
-    return util::Status::OK();
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Struct (en|de)coding.  Field order is the wire format; never reorder.
-
-void PutMinerStats(std::string* out, const core::MinerStats& s) {
-  PutI64(out, s.nodes_expanded);
-  PutI64(out, s.extensions_tested);
-  PutI64(out, s.pruned_min_genes);
-  PutI64(out, s.pruned_p_majority);
-  PutI64(out, s.pruned_duplicate);
-  PutI64(out, s.pruned_coherence);
-  PutI64(out, s.genes_dropped_min_conds);
-  PutI64(out, s.clusters_emitted);
-  PutI64(out, s.index_builds);
-  PutI64(out, s.index_word_ops);
-  PutI64(out, s.coherence_divide_calls);
-  PutI64(out, s.coherence_scores);
-  PutI64(out, s.dedup_probes);
-  PutDouble(out, s.rwave_build_seconds);
-  PutDouble(out, s.index_build_seconds);
-  PutDouble(out, s.mine_seconds);
-}
-
-util::Status ReadMinerStats(Cursor* c, core::MinerStats* s) {
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadI64("nodes_expanded", &s->nodes_expanded));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("extensions_tested", &s->extensions_tested));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("pruned_min_genes", &s->pruned_min_genes));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("pruned_p_majority", &s->pruned_p_majority));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("pruned_duplicate", &s->pruned_duplicate));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("pruned_coherence", &s->pruned_coherence));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("genes_dropped_min_conds", &s->genes_dropped_min_conds));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("clusters_emitted", &s->clusters_emitted));
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadI64("index_builds", &s->index_builds));
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadI64("index_word_ops", &s->index_word_ops));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("coherence_divide_calls", &s->coherence_divide_calls));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("coherence_scores", &s->coherence_scores));
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadI64("dedup_probes", &s->dedup_probes));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadDouble("rwave_build_seconds", &s->rwave_build_seconds));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadDouble("index_build_seconds", &s->index_build_seconds));
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadDouble("mine_seconds", &s->mine_seconds));
-  return util::Status::OK();
-}
-
-void PutClusters(std::string* out,
-                 const std::vector<core::RegCluster>& clusters) {
-  PutU64(out, clusters.size());
-  for (const core::RegCluster& c : clusters) {
-    PutIntVector(out, c.chain);
-    PutIntVector(out, c.p_genes);
-    PutIntVector(out, c.n_genes);
-  }
-}
-
-util::Status ReadClusters(Cursor* c, std::vector<core::RegCluster>* clusters) {
-  uint64_t count = 0;
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadU64("cluster count", &count));
-  clusters->clear();
-  clusters->reserve(count < (1u << 20) ? count : (1u << 20));
-  for (uint64_t i = 0; i < count; ++i) {
-    core::RegCluster cl;
-    REGCLUSTER_RETURN_IF_ERROR(c->ReadIntVector("cluster chain", &cl.chain));
-    REGCLUSTER_RETURN_IF_ERROR(
-        c->ReadIntVector("cluster p_genes", &cl.p_genes));
-    REGCLUSTER_RETURN_IF_ERROR(
-        c->ReadIntVector("cluster n_genes", &cl.n_genes));
-    clusters->push_back(std::move(cl));
-  }
-  return util::Status::OK();
-}
+constexpr uint32_t kTagProgress = 8;
 
 // The MineOutcome subset a sweep snapshot restores (the fields sweep reports
 // print plus the resume contract fields).
@@ -244,84 +46,25 @@ void PutOutcome(std::string* out, const core::MineOutcome& o) {
   PutU64(out, o.resume.options_hash);
 }
 
-util::Status ReadOutcome(Cursor* c, core::MineOutcome* o) {
-  uint32_t truncated = 0, reason = 0;
-  int64_t roots_completed = 0, roots_total = 0, next_root = -1;
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadU32("outcome status", &truncated));
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadU32("outcome stop_reason", &reason));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("outcome nodes_visited", &o->nodes_visited));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("outcome roots_completed", &roots_completed));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("outcome roots_total", &roots_total));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadDouble("outcome wall_seconds", &o->wall_seconds));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("outcome peak_scratch_bytes", &o->peak_scratch_bytes));
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadI64("outcome next_root", &next_root));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadU64("outcome options_hash", &o->resume.options_hash));
-  o->status = truncated != 0 ? core::MineStatus::kTruncated
-                             : core::MineStatus::kComplete;
+void ReadOutcome(Cursor* c, core::MineOutcome* o) {
+  bool truncated = false;
+  uint32_t reason = 0;
+  c->ReadBool("outcome status", &truncated);
+  c->ReadU32("outcome stop_reason", &reason);
+  c->ReadI64("outcome nodes_visited", &o->nodes_visited);
+  c->ReadInt("outcome roots_completed", &o->roots_completed);
+  c->ReadInt("outcome roots_total", &o->roots_total);
+  c->ReadDouble("outcome wall_seconds", &o->wall_seconds);
+  c->ReadI64("outcome peak_scratch_bytes", &o->peak_scratch_bytes);
+  c->ReadInt("outcome next_root", &o->resume.next_root);
+  c->ReadU64("outcome options_hash", &o->resume.options_hash);
+  o->status =
+      truncated ? core::MineStatus::kTruncated : core::MineStatus::kComplete;
   o->stop_reason = static_cast<util::StopReason>(reason);
-  o->roots_completed = static_cast<int>(roots_completed);
-  o->roots_total = static_cast<int>(roots_total);
-  o->resume.next_root = static_cast<int>(next_root);
-  return util::Status::OK();
 }
 
-std::string EncodeMineBody(const MineCheckpoint& m) {
-  std::string body;
-  {
-    std::string rec;
-    PutU32(&rec, kTagContext);
-    PutU64(&rec, m.semantic_options_hash);
-    PutU64(&rec, m.matrix_hash.hi);
-    PutU64(&rec, m.matrix_hash.lo);
-    PutI64(&rec, m.num_genes);
-    PutI64(&rec, m.num_conditions);
-    PutU32(&rec, m.flags);
-    util::AppendRecord(&body, rec);
-  }
-  {
-    std::string rec;
-    PutU32(&rec, kTagProgress);
-    PutI64(&rec, m.next_root);
-    PutI64(&rec, m.roots_completed);
-    PutI64(&rec, m.nodes_visited);
-    PutDouble(&rec, m.wall_seconds);
-    PutI64(&rec, m.peak_scratch_bytes);
-    util::AppendRecord(&body, rec);
-  }
-  {
-    std::string rec;
-    PutU32(&rec, kTagStats);
-    PutMinerStats(&rec, m.stats);
-    util::AppendRecord(&body, rec);
-  }
-  {
-    std::string rec;
-    PutU32(&rec, kTagClusters);
-    PutClusters(&rec, m.clusters);
-    util::AppendRecord(&body, rec);
-  }
-  return body;
-}
-
-std::string EncodeSweepBody(const SweepCheckpoint& s) {
-  std::string body;
-  {
-    std::string rec;
-    PutU32(&rec, kTagContext);
-    PutU64(&rec, s.grid_hash);
-    PutU64(&rec, s.matrix_hash.hi);
-    PutU64(&rec, s.matrix_hash.lo);
-    PutI64(&rec, s.num_genes);
-    PutI64(&rec, s.num_conditions);
-    PutU32(&rec, s.flags);
-    util::AppendRecord(&body, rec);
-  }
+void EncodeSweepBody(const SweepCheckpoint& s, std::string* out) {
+  PutContext(out, kTagSweepContext, s.grid_hash, s);
   {
     std::string rec;
     PutU32(&rec, kTagSweepAggregate);
@@ -333,7 +76,7 @@ std::string EncodeSweepBody(const SweepCheckpoint& s) {
     PutI64(&rec, s.shared_model_bytes);
     PutDouble(&rec, s.wall_seconds);
     PutU64(&rec, s.runs.size());
-    util::AppendRecord(&body, rec);
+    util::AppendRecord(out, rec);
   }
   for (const SweepRunSnapshot& run : s.runs) {
     std::string rec;
@@ -346,176 +89,70 @@ std::string EncodeSweepBody(const SweepCheckpoint& s) {
     PutMinerStats(&rec, run.stats);
     PutOutcome(&rec, run.outcome);
     PutClusters(&rec, run.clusters);
-    util::AppendRecord(&body, rec);
+    util::AppendRecord(out, rec);
   }
-  return body;
 }
 
-// Reads one framed record and checks its tag.
-util::StatusOr<std::string_view> NextRecord(util::RecordReader* reader,
-                                            uint32_t want_tag,
-                                            const char* what) {
-  if (reader->AtEnd()) {
-    return util::Status::Corruption(std::string("missing checkpoint record ") +
-                                    what);
-  }
-  auto rec = reader->Next();
-  if (!rec.ok()) return rec.status();
-  if (rec->size() < 4) {
-    return util::Status::Corruption(std::string("checkpoint record ") + what +
-                                    " too short for a tag");
-  }
-  uint32_t tag = static_cast<uint32_t>(static_cast<unsigned char>((*rec)[0])) |
-                 static_cast<uint32_t>(static_cast<unsigned char>((*rec)[1]))
-                     << 8 |
-                 static_cast<uint32_t>(static_cast<unsigned char>((*rec)[2]))
-                     << 16 |
-                 static_cast<uint32_t>(static_cast<unsigned char>((*rec)[3]))
-                     << 24;
-  if (tag != want_tag) {
-    return util::Status::Corruption(
-        std::string("unexpected checkpoint record tag where ") + what +
-        " was required");
-  }
-  return std::string_view(rec->data() + 4, rec->size() - 4);
-}
-
-util::Status DecodeMineBody(util::RecordReader* reader, MineCheckpoint* m,
-                            uint32_t* record_count) {
-  {
-    auto rec = NextRecord(reader, kTagContext, "context");
-    if (!rec.ok()) return rec.status();
-    Cursor c(*rec);
-    REGCLUSTER_RETURN_IF_ERROR(
-        c.ReadU64("semantic_options_hash", &m->semantic_options_hash));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU64("matrix_hash.hi", &m->matrix_hash.hi));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU64("matrix_hash.lo", &m->matrix_hash.lo));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadI64("num_genes", &m->num_genes));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadI64("num_conditions", &m->num_conditions));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("flags", &m->flags));
-    REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("context"));
-  }
-  {
-    auto rec = NextRecord(reader, kTagProgress, "progress");
-    if (!rec.ok()) return rec.status();
-    Cursor c(*rec);
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadI64("next_root", &m->next_root));
-    REGCLUSTER_RETURN_IF_ERROR(
-        c.ReadI64("roots_completed", &m->roots_completed));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadI64("nodes_visited", &m->nodes_visited));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadDouble("wall_seconds", &m->wall_seconds));
-    REGCLUSTER_RETURN_IF_ERROR(
-        c.ReadI64("peak_scratch_bytes", &m->peak_scratch_bytes));
-    REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("progress"));
-  }
-  {
-    auto rec = NextRecord(reader, kTagStats, "stats");
-    if (!rec.ok()) return rec.status();
-    Cursor c(*rec);
-    REGCLUSTER_RETURN_IF_ERROR(ReadMinerStats(&c, &m->stats));
-    REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("stats"));
-  }
-  {
-    auto rec = NextRecord(reader, kTagClusters, "clusters");
-    if (!rec.ok()) return rec.status();
-    Cursor c(*rec);
-    REGCLUSTER_RETURN_IF_ERROR(ReadClusters(&c, &m->clusters));
-    REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("clusters"));
-  }
-  *record_count = 4;
-  return util::Status::OK();
-}
-
-util::Status DecodeSweepBody(util::RecordReader* reader, SweepCheckpoint* s,
-                             uint32_t* record_count) {
-  {
-    auto rec = NextRecord(reader, kTagContext, "context");
-    if (!rec.ok()) return rec.status();
-    Cursor c(*rec);
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU64("grid_hash", &s->grid_hash));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU64("matrix_hash.hi", &s->matrix_hash.hi));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU64("matrix_hash.lo", &s->matrix_hash.lo));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadI64("num_genes", &s->num_genes));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadI64("num_conditions", &s->num_conditions));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("flags", &s->flags));
-    REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("context"));
-  }
+util::Status DecodeSweepBody(RecordStream* in, SweepCheckpoint* s) {
+  REGCLUSTER_RETURN_IF_ERROR(
+      ReadContext(in, kTagSweepContext, &s->grid_hash, s));
   uint64_t run_count = 0;
   {
-    auto rec = NextRecord(reader, kTagSweepAggregate, "sweep aggregate");
-    if (!rec.ok()) return rec.status();
-    Cursor c(*rec);
+    auto c = in->Expect(kTagSweepAggregate, "sweep aggregate");
+    if (!c.ok()) return c.status();
     uint32_t reason = 0;
-    REGCLUSTER_RETURN_IF_ERROR(
-        c.ReadI64("first_unfinished", &s->first_unfinished));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadI64("runs_total", &s->runs_total));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("truncated", &s->truncated));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("stop_reason", &reason));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadI64("index_builds", &s->index_builds));
-    REGCLUSTER_RETURN_IF_ERROR(
-        c.ReadI64("shared_model_bytes", &s->shared_model_bytes));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadDouble("wall_seconds", &s->wall_seconds));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU64("run snapshot count", &run_count));
+    c->ReadI64("first_unfinished", &s->first_unfinished);
+    c->ReadI64("runs_total", &s->runs_total);
+    c->ReadU32("truncated", &s->truncated);
+    c->ReadU32("stop_reason", &reason);
+    c->ReadI64("index_builds", &s->index_builds);
+    c->ReadI64("shared_model_bytes", &s->shared_model_bytes);
+    c->ReadDouble("wall_seconds", &s->wall_seconds);
+    c->ReadU64("run snapshot count", &run_count);
+    REGCLUSTER_RETURN_IF_ERROR(c->Done("sweep aggregate"));
     s->stop_reason = static_cast<int32_t>(reason);
   }
   s->runs.clear();
   for (uint64_t i = 0; i < run_count; ++i) {
-    auto rec = NextRecord(reader, kTagSweepRun, "sweep run");
-    if (!rec.ok()) return rec.status();
-    Cursor c(*rec);
+    auto c = in->Expect(kTagSweepRun, "sweep run");
+    if (!c.ok()) return c.status();
     SweepRunSnapshot run;
-    uint32_t index = 0, code = 0, executed = 0, shared = 0;
+    uint32_t index = 0, code = 0;
     std::string message;
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("run index", &index));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("run status code", &code));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadString("run status message", &message));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("run executed", &executed));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("run used_shared_model", &shared));
-    REGCLUSTER_RETURN_IF_ERROR(ReadMinerStats(&c, &run.stats));
-    REGCLUSTER_RETURN_IF_ERROR(ReadOutcome(&c, &run.outcome));
-    REGCLUSTER_RETURN_IF_ERROR(ReadClusters(&c, &run.clusters));
-    REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("sweep run"));
+    c->ReadU32("run index", &index);
+    c->ReadU32("run status code", &code);
+    c->ReadString("run status message", &message);
+    c->ReadBool("run executed", &run.executed);
+    c->ReadBool("run used_shared_model", &run.used_shared_model);
+    ReadMinerStats(&*c, &run.stats);
+    ReadOutcome(&*c, &run.outcome);
+    ReadClusters(&*c, &run.clusters);
+    REGCLUSTER_RETURN_IF_ERROR(c->Done("sweep run"));
+    // Records cover points 0, 1, ... in order, like a ledger's roots.
+    if (index != i) {
+      return util::Status::Corruption(
+          "checkpoint sweep run records out of order");
+    }
+    if (code == 0 && !message.empty()) {
+      return util::Status::Corruption(
+          "checkpoint sweep run has an OK status with a message");
+    }
     run.index = static_cast<int32_t>(index);
-    run.status = code == 0 ? util::Status::OK()
-                           : util::Status(static_cast<util::StatusCode>(code),
-                                          std::move(message));
-    run.executed = executed != 0;
-    run.used_shared_model = shared != 0;
+    if (code != 0) {
+      run.status = util::Status(static_cast<util::StatusCode>(code),
+                                std::move(message));
+    }
     s->runs.push_back(std::move(run));
   }
-  *record_count = static_cast<uint32_t>(2 + run_count);
+  // The records cover exactly the points before first_unfinished, or every
+  // point once the sweep is complete.
+  const int64_t covered = s->complete() ? s->runs_total : s->first_unfinished;
+  if (s->first_unfinished < -1 || covered > s->runs_total ||
+      static_cast<int64_t>(run_count) != covered) {
+    return util::Status::Corruption(
+        "checkpoint sweep run count disagrees with first_unfinished");
+  }
   return util::Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// Mine driver helpers.
-
-// The options one resumable chunk runs under: the user's semantics with the
-// global dominance post-pass deferred (it cannot splice across chunks; the
-// driver applies core::RemoveDominated once on the completed output).
-core::MinerOptions ChunkOptions(const core::MinerOptions& user) {
-  core::MinerOptions chunk = user;
-  chunk.remove_dominated = false;
-  return chunk;
-}
-
-void AccumulateStats(core::MinerStats* total, const core::MinerStats& chunk) {
-  total->nodes_expanded += chunk.nodes_expanded;
-  total->extensions_tested += chunk.extensions_tested;
-  total->pruned_min_genes += chunk.pruned_min_genes;
-  total->pruned_p_majority += chunk.pruned_p_majority;
-  total->pruned_duplicate += chunk.pruned_duplicate;
-  total->pruned_coherence += chunk.pruned_coherence;
-  total->genes_dropped_min_conds += chunk.genes_dropped_min_conds;
-  total->clusters_emitted += chunk.clusters_emitted;
-  total->index_builds += chunk.index_builds;
-  total->index_word_ops += chunk.index_word_ops;
-  total->coherence_divide_calls += chunk.coherence_divide_calls;
-  total->coherence_scores += chunk.coherence_scores;
-  total->dedup_probes += chunk.dedup_probes;
-  total->rwave_build_seconds += chunk.rwave_build_seconds;
-  total->index_build_seconds += chunk.index_build_seconds;
-  total->mine_seconds += chunk.mine_seconds;
 }
 
 }  // namespace
@@ -525,18 +162,26 @@ void AccumulateStats(core::MinerStats* total, const core::MinerStats& chunk) {
 
 std::string EncodeCheckpoint(const Checkpoint& ckpt) {
   std::string out;
-  out.append(kMagic, sizeof kMagic);
-  PutU32(&out, kVersion);
-  PutU32(&out, kEndianTag);
+  PutPreamble(&out, std::string_view(kMagic, sizeof kMagic), kVersion);
   PutU32(&out, static_cast<uint32_t>(ckpt.kind));
   PutU64(&out, ckpt.generation);
-  std::string body = ckpt.kind == CheckpointKind::kMine
-                         ? EncodeMineBody(ckpt.mine)
-                         : EncodeSweepBody(ckpt.sweep);
-  uint32_t records = ckpt.kind == CheckpointKind::kMine
-                         ? 4
-                         : static_cast<uint32_t>(2 + ckpt.sweep.runs.size());
-  out.append(body);
+  uint32_t records = 0;
+  if (ckpt.kind == CheckpointKind::kMine) {
+    // The ledger's records, then the volatile progress telemetry.
+    const MineCheckpoint& m = ckpt.mine;
+    EncodeLedgerRecords(m.ledger, &out);
+    std::string rec;
+    PutU32(&rec, kTagProgress);
+    PutI64(&rec, m.nodes_visited);
+    PutDouble(&rec, m.wall_seconds);
+    PutDouble(&rec, m.mine_seconds);
+    PutI64(&rec, m.peak_scratch_bytes);
+    util::AppendRecord(&out, rec);
+    records = static_cast<uint32_t>(3 + m.ledger.roots.size());
+  } else {
+    EncodeSweepBody(ckpt.sweep, &out);
+    records = static_cast<uint32_t>(2 + ckpt.sweep.runs.size());
+  }
   std::string end;
   PutU32(&end, kTagEnd);
   PutU32(&end, records);
@@ -545,25 +190,23 @@ std::string EncodeCheckpoint(const Checkpoint& ckpt) {
 }
 
 util::StatusOr<Checkpoint> DecodeCheckpoint(std::string_view bytes) {
-  if (bytes.size() < kPreambleBytes) {
-    return util::Status::Corruption("checkpoint file shorter than preamble");
+  uint32_t version = 0, kind = 0;
+  auto pre = ReadPreamble(bytes, kPreambleBytes,
+                          std::string_view(kMagic, sizeof kMagic), kNoun,
+                          &version);
+  if (!pre.ok()) return pre.status();
+  Checkpoint ckpt;
+  pre->ReadU32("kind", &kind);
+  pre->ReadU64("generation", &ckpt.generation);
+  if (version == kVersionBeforeLedger) {
+    return util::Status::FailedPrecondition(
+        "checkpoint format version 1 predates the root ledger and cannot be "
+        "resumed; delete the snapshot (and its .a/.b buffers) and restart "
+        "the run");
   }
-  if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0) {
-    return util::Status::Corruption("bad checkpoint magic");
-  }
-  Cursor pre(bytes.substr(sizeof kMagic, kPreambleBytes - sizeof kMagic));
-  uint32_t version = 0, endian = 0, kind = 0;
-  uint64_t generation = 0;
-  REGCLUSTER_RETURN_IF_ERROR(pre.ReadU32("version", &version));
-  REGCLUSTER_RETURN_IF_ERROR(pre.ReadU32("endian tag", &endian));
-  REGCLUSTER_RETURN_IF_ERROR(pre.ReadU32("kind", &kind));
-  REGCLUSTER_RETURN_IF_ERROR(pre.ReadU64("generation", &generation));
   if (version != kVersion) {
     return util::Status::Corruption("unsupported checkpoint version " +
                                     std::to_string(version));
-  }
-  if (endian != kEndianTag) {
-    return util::Status::Corruption("checkpoint endianness mismatch");
   }
   if (kind != static_cast<uint32_t>(CheckpointKind::kMine) &&
       kind != static_cast<uint32_t>(CheckpointKind::kSweep)) {
@@ -571,30 +214,33 @@ util::StatusOr<Checkpoint> DecodeCheckpoint(std::string_view bytes) {
                                     std::to_string(kind));
   }
 
-  Checkpoint ckpt;
-  ckpt.generation = generation;
   ckpt.kind = static_cast<CheckpointKind>(kind);
-  util::RecordReader reader(bytes.substr(kPreambleBytes));
+  RecordStream in(bytes.substr(kPreambleBytes), kNoun);
   uint32_t body_records = 0;
   if (ckpt.kind == CheckpointKind::kMine) {
-    REGCLUSTER_RETURN_IF_ERROR(
-        DecodeMineBody(&reader, &ckpt.mine, &body_records));
+    MineCheckpoint& m = ckpt.mine;
+    REGCLUSTER_RETURN_IF_ERROR(DecodeLedgerRecords(&in, &m.ledger));
+    auto c = in.Expect(kTagProgress, "progress");
+    if (!c.ok()) return c.status();
+    c->ReadI64("nodes_visited", &m.nodes_visited);
+    c->ReadDouble("wall_seconds", &m.wall_seconds);
+    c->ReadDouble("mine_seconds", &m.mine_seconds);
+    c->ReadI64("peak_scratch_bytes", &m.peak_scratch_bytes);
+    REGCLUSTER_RETURN_IF_ERROR(c->Done("progress"));
+    body_records = static_cast<uint32_t>(3 + m.ledger.roots.size());
   } else {
-    REGCLUSTER_RETURN_IF_ERROR(
-        DecodeSweepBody(&reader, &ckpt.sweep, &body_records));
+    REGCLUSTER_RETURN_IF_ERROR(DecodeSweepBody(&in, &ckpt.sweep));
+    body_records = static_cast<uint32_t>(2 + ckpt.sweep.runs.size());
   }
-  auto end = NextRecord(&reader, kTagEnd, "end");
+  auto end = in.Expect(kTagEnd, "end");
   if (!end.ok()) return end.status();
-  {
-    Cursor c(*end);
-    uint32_t declared = 0;
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("record count", &declared));
-    REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("end"));
-    if (declared != body_records) {
-      return util::Status::Corruption("checkpoint record count mismatch");
-    }
+  uint32_t declared = 0;
+  end->ReadU32("record count", &declared);
+  REGCLUSTER_RETURN_IF_ERROR(end->Done("end"));
+  if (declared != body_records) {
+    return util::Status::Corruption("checkpoint record count mismatch");
   }
-  if (!reader.AtEnd()) {
+  if (!in.AtEnd()) {
     return util::Status::Corruption("trailing bytes after checkpoint footer");
   }
   return ckpt;
@@ -659,29 +305,6 @@ util::StatusOr<Checkpoint> LoadCheckpoint(const std::string& base,
 // ---------------------------------------------------------------------------
 // Hashes and validation.
 
-util::Hash128 HashMatrixContent(const matrix::MatrixStore& data) {
-  util::Fnv128 h;
-  h.MixInt(data.num_genes());
-  h.MixInt(data.num_conditions());
-  for (int g = 0; g < data.num_genes(); ++g) {
-    const std::string& name = data.gene_name(g);
-    h.Mix64(static_cast<uint64_t>(name.size()));
-    h.MixBytes(name.data(), name.size());
-  }
-  for (int c = 0; c < data.num_conditions(); ++c) {
-    const std::string& name = data.condition_name(c);
-    h.Mix64(static_cast<uint64_t>(name.size()));
-    h.MixBytes(name.data(), name.size());
-  }
-  // Cell payload row by row: bit patterns, so NaN layouts hash stably and
-  // the resident and mapped paths agree byte for byte.
-  for (int g = 0; g < data.num_genes(); ++g) {
-    h.MixBytes(data.row_data(g),
-               static_cast<size_t>(data.num_conditions()) * sizeof(double));
-  }
-  return h.Digest();
-}
-
 uint64_t HashSweepGrid(const std::vector<core::MinerOptions>& points) {
   util::Fnv128 h;
   h.Mix64(static_cast<uint64_t>(points.size()));
@@ -690,41 +313,6 @@ uint64_t HashSweepGrid(const std::vector<core::MinerOptions>& points) {
         core::RegClusterMiner::SemanticOptionsHash(p)));
   }
   return h.Digest().lo;
-}
-
-util::Status ValidateMineCheckpoint(const MineCheckpoint& ckpt,
-                                    const matrix::MatrixStore& data,
-                                    const core::MinerOptions& options) {
-  const uint32_t want_flags =
-      options.remove_dominated ? kCheckpointFlagRemoveDominated : 0;
-  if (ckpt.flags != want_flags) {
-    return util::Status::FailedPrecondition(
-        "checkpoint dominance-pass setting differs from the requested "
-        "options");
-  }
-  const uint64_t want_hash =
-      core::RegClusterMiner::SemanticOptionsHash(ChunkOptions(options));
-  if (ckpt.semantic_options_hash != want_hash) {
-    return util::Status::FailedPrecondition(
-        "checkpoint was written under different mining options "
-        "(semantic hash mismatch)");
-  }
-  if (ckpt.num_genes != data.num_genes() ||
-      ckpt.num_conditions != data.num_conditions()) {
-    return util::Status::FailedPrecondition(
-        "checkpoint matrix dimensions differ: snapshot " +
-        std::to_string(ckpt.num_genes) + "x" +
-        std::to_string(ckpt.num_conditions) + ", matrix " +
-        std::to_string(data.num_genes()) + "x" +
-        std::to_string(data.num_conditions()));
-  }
-  const util::Hash128 h = HashMatrixContent(data);
-  if (!(h == ckpt.matrix_hash)) {
-    return util::Status::FailedPrecondition(
-        "checkpoint was written for a different matrix "
-        "(content hash mismatch)");
-  }
-  return util::Status::OK();
 }
 
 util::Status ValidateSweepCheckpoint(
@@ -741,22 +329,8 @@ util::Status ValidateSweepCheckpoint(
         "checkpoint was written for a different sweep grid "
         "(grid hash mismatch)");
   }
-  if (ckpt.num_genes != data.num_genes() ||
-      ckpt.num_conditions != data.num_conditions()) {
-    return util::Status::FailedPrecondition(
-        "checkpoint matrix dimensions differ: snapshot " +
-        std::to_string(ckpt.num_genes) + "x" +
-        std::to_string(ckpt.num_conditions) + ", matrix " +
-        std::to_string(data.num_genes()) + "x" +
-        std::to_string(data.num_conditions()));
-  }
-  const util::Hash128 h = HashMatrixContent(data);
-  if (!(h == ckpt.matrix_hash)) {
-    return util::Status::FailedPrecondition(
-        "checkpoint was written for a different matrix "
-        "(content hash mismatch)");
-  }
-  return util::Status::OK();
+  return CheckMatrixIdentity(ckpt.num_genes, ckpt.num_conditions,
+                             ckpt.matrix_hash, data, data.num_conditions());
 }
 
 // ---------------------------------------------------------------------------
@@ -867,42 +441,56 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
     const matrix::MatrixStore& data, const core::MinerOptions& options,
     const CheckpointConfig& config, const MineCheckpoint* resume) {
   util::WallTimer run_timer;
-  const core::MinerOptions chunk_base = ChunkOptions(options);
-  const uint64_t semantic_hash =
-      core::RegClusterMiner::SemanticOptionsHash(chunk_base);
-  const uint32_t flags =
-      options.remove_dominated ? kCheckpointFlagRemoveDominated : 0;
-
-  if (resume != nullptr) {
-    REGCLUSTER_RETURN_IF_ERROR(ValidateMineCheckpoint(*resume, data, options));
+  if (!options.root_set.empty()) {
+    return util::Status::InvalidArgument(
+        "checkpointed mining covers the roots in order; root_set is not "
+        "supported");
   }
-
   // Mutable run state, seeded from the snapshot when resuming.
   MineCheckpoint state;
-  state.semantic_options_hash = semantic_hash;
-  state.matrix_hash = HashMatrixContent(data);
-  state.num_genes = data.num_genes();
-  state.num_conditions = data.num_conditions();
-  state.flags = flags;
-  state.next_root = 0;
   if (resume != nullptr) {
+    REGCLUSTER_RETURN_IF_ERROR(CheckLedgerIdentity(
+        resume->ledger, data, data.num_conditions(), options));
     state = *resume;
+  } else {
+    state.ledger = NewLedger(data, options);
   }
+  RootLedger& ledger = state.ledger;
 
   CheckpointWriter writer(config.path, config.next_generation,
                           config.synchronous);
   if (resume != nullptr) writer.NoteResume();
+  // The final snapshot takes the state; periodic ones copy it.
+  const auto snapshot = [&state](bool final) {
+    Checkpoint ckpt;
+    ckpt.kind = CheckpointKind::kMine;
+    if (final) {
+      ckpt.mine = std::move(state);
+    } else {
+      ckpt.mine = state;
+    }
+    return ckpt;
+  };
 
+  std::shared_ptr<const core::SharedGammaModel> model = options.shared_model;
   DurableMineResult result;
   auto finish = [&](core::MineStatus status, util::StopReason reason,
                     const core::ResumeToken& token,
                     const core::MineOutcome* last_chunk) {
-    result.clusters = std::move(state.clusters);
-    result.stats = state.stats;
+    result.clusters = ledger.Output();
+    // One logical run builds the model once; report it that way (chunks all
+    // run on the shared model, contributing index_builds == 0).
+    result.stats = ledger.SummedStats();
+    result.stats.index_builds = 1;
+    if (model != nullptr) {
+      result.stats.rwave_build_seconds = model->rwave_build_seconds;
+      result.stats.index_build_seconds = model->index_build_seconds;
+    }
+    result.stats.mine_seconds = state.mine_seconds;
     result.outcome.status = status;
     result.outcome.stop_reason = reason;
     result.outcome.nodes_visited = state.nodes_visited;
-    result.outcome.roots_completed = static_cast<int>(state.roots_completed);
+    result.outcome.roots_completed = static_cast<int>(ledger.roots.size());
     result.outcome.roots_total = data.num_conditions();
     result.outcome.wall_seconds = state.wall_seconds;
     result.outcome.peak_scratch_bytes = state.peak_scratch_bytes;
@@ -918,15 +506,12 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
       result.outcome.model_bytes = last_chunk->model_bytes;
       result.outcome.mapped_bytes = last_chunk->mapped_bytes;
     }
-    if (options.remove_dominated && status == core::MineStatus::kComplete) {
-      result.clusters = core::RemoveDominated(std::move(result.clusters));
-    }
   };
 
   // A snapshot that says "complete" short-circuits: replay the stored
   // result (the dominance pass, when requested, re-runs on the stored raw
   // clusters -- it is deterministic).
-  if (state.complete()) {
+  if (resume != nullptr && ledger.complete()) {
     finish(core::MineStatus::kComplete, util::StopReason::kNone,
            core::ResumeToken{}, nullptr);
     result.checkpoint = writer.stats();
@@ -936,7 +521,6 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
 
   // Build the gamma model once for all chunks (Mine() would otherwise
   // rebuild it per chunk).  Resident or out-of-core per the user's knobs.
-  std::shared_ptr<const core::SharedGammaModel> model = options.shared_model;
   if (model == nullptr) {
     const core::GammaSpec spec{options.gamma_policy, options.gamma};
     if (options.gamma < 0.0 ||
@@ -955,13 +539,6 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
           options.num_threads);
     }
   }
-  // One logical run builds the model once; report it that way (chunks all
-  // run with a shared model, contributing index_builds == 0).
-  if (resume == nullptr && model != nullptr) {
-    state.stats.index_builds = 1;
-    state.stats.rwave_build_seconds = model->rwave_build_seconds;
-    state.stats.index_build_seconds = model->index_build_seconds;
-  }
 
   constexpr int64_t kUnlimited = std::numeric_limits<int64_t>::max();
   const int64_t user_nodes =
@@ -969,30 +546,29 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
   const int64_t user_clusters =
       options.max_clusters >= 0 ? options.max_clusters : kUnlimited;
   int64_t chunk_budget = std::max<int64_t>(config.initial_chunk_nodes, 1);
+  core::MinerOptions chunk_base = SliceOptions(options);
+  chunk_base.shared_model = model;
+  chunk_base.capture_root_results = true;
   core::ResumeToken token;
-  token.next_root = static_cast<int>(state.next_root);
-  token.options_hash = semantic_hash;
-  core::MineOutcome last_outcome;
+  token.next_root = static_cast<int>(ledger.next_root());
+  token.options_hash = ledger.semantic_options_hash;
 
   for (;;) {
+    // The user's budgets span the logical run: charge what the ledger
+    // already covers.
+    const core::MinerStats done = ledger.SummedStats();
     const int64_t nodes_rem = user_nodes == kUnlimited
                                   ? kUnlimited
-                                  : user_nodes - state.stats.nodes_expanded;
-    const int64_t clusters_rem =
-        user_clusters == kUnlimited
-            ? kUnlimited
-            : user_clusters - state.stats.clusters_emitted;
+                                  : user_nodes - done.nodes_expanded;
+    const int64_t clusters_rem = user_clusters == kUnlimited
+                                     ? kUnlimited
+                                     : user_clusters - done.clusters_emitted;
     const int64_t this_budget = std::min(chunk_budget, nodes_rem);
 
     core::MinerOptions chunk = chunk_base;
-    chunk.shared_model = model;
     chunk.max_nodes = this_budget == kUnlimited ? -1 : this_budget;
     chunk.max_clusters = clusters_rem == kUnlimited ? -1 : clusters_rem;
-    if (token.can_resume() && token.next_root > 0) {
-      chunk.resume = token;
-    } else {
-      chunk.resume = core::ResumeToken{};
-    }
+    if (token.next_root > 0) chunk.resume = token;
     if (options.deadline_ms >= 0) {
       chunk.deadline_ms =
           std::max(0.0, options.deadline_ms - run_timer.ElapsedMillis());
@@ -1004,35 +580,23 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
     if (!clusters.ok()) return clusters.status();
     const double chunk_ms = chunk_timer.ElapsedMillis();
     const core::MineOutcome& oc = miner.outcome();
-    last_outcome = oc;
 
-    const bool progressed = oc.roots_completed > 0;
-    if (progressed) {
-      state.clusters.insert(state.clusters.end(),
-                            std::make_move_iterator(clusters->begin()),
-                            std::make_move_iterator(clusters->end()));
-      AccumulateStats(&state.stats, miner.stats());
-      state.roots_completed += oc.roots_completed;
-    }
+    ledger.roots.insert(ledger.roots.end(), miner.root_results().begin(),
+                        miner.root_results().end());
     state.nodes_visited += oc.nodes_visited;
     state.wall_seconds += oc.wall_seconds;
+    state.mine_seconds += miner.stats().mine_seconds;
     state.peak_scratch_bytes =
         std::max(state.peak_scratch_bytes, oc.peak_scratch_bytes);
 
     if (oc.status == core::MineStatus::kComplete) {
-      state.next_root = -1;
-      Checkpoint final_ckpt;
-      final_ckpt.kind = CheckpointKind::kMine;
-      final_ckpt.mine = state;
       finish(core::MineStatus::kComplete, util::StopReason::kNone,
-             core::ResumeToken{}, &last_outcome);
-      result.checkpoint_status = writer.WriteNow(std::move(final_ckpt));
+             core::ResumeToken{}, &oc);
+      result.checkpoint_status = writer.WriteNow(snapshot(true));
       result.checkpoint = writer.stats();
       return result;
     }
-
     token = oc.resume;
-    state.next_root = token.next_root;
 
     const bool hard = util::IsHardStop(oc.stop_reason);
     // A soft stop is *final* when the chunk's budget already was the user's
@@ -1043,17 +607,13 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
     const bool user_cluster_cut =
         oc.stop_reason == util::StopReason::kClusterBudget;
     if (hard || user_node_cut || user_cluster_cut) {
-      Checkpoint final_ckpt;
-      final_ckpt.kind = CheckpointKind::kMine;
-      final_ckpt.mine = state;
-      finish(core::MineStatus::kTruncated, oc.stop_reason, token,
-             &last_outcome);
-      result.checkpoint_status = writer.WriteNow(std::move(final_ckpt));
+      finish(core::MineStatus::kTruncated, oc.stop_reason, token, &oc);
+      result.checkpoint_status = writer.WriteNow(snapshot(true));
       result.checkpoint = writer.stats();
       return result;
     }
 
-    if (!progressed) {
+    if (oc.roots_completed == 0) {
       // Driver-pace budget too small for even one root: grow and retry
       // (nothing new to snapshot).
       chunk_budget = chunk_budget * 2;
@@ -1061,10 +621,7 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
     }
 
     // Periodic snapshot, off the hot path on the writer thread.
-    Checkpoint ckpt;
-    ckpt.kind = CheckpointKind::kMine;
-    ckpt.mine = state;
-    writer.Submit(std::move(ckpt));
+    writer.Submit(snapshot(false));
 
     // Adapt the chunk size to the requested cadence from the measured
     // throughput of the chunk that just ran.
@@ -1139,9 +696,16 @@ util::StatusOr<DurableSweepResult> RunCheckpointedSweep(
   report.shared_model_bytes = state.shared_model_bytes;
   report.wall_seconds = state.wall_seconds;
 
-  auto snapshot_runs_prefix = [&](int64_t boundary) {
+  // Snapshot of the points before `first_unfinished` (every point at -1).
+  auto snapshot = [&](int64_t first_unfinished) {
+    state.first_unfinished = first_unfinished;
+    state.index_builds = report.index_builds;
+    state.shared_model_bytes = report.shared_model_bytes;
     state.runs.clear();
-    for (int64_t i = 0; i < boundary; ++i) {
+    const int64_t covered = first_unfinished < 0
+                                ? static_cast<int64_t>(points.size())
+                                : first_unfinished;
+    for (int64_t i = 0; i < covered; ++i) {
       const core::SweepRun& run = report.runs[static_cast<size_t>(i)];
       SweepRunSnapshot snap;
       snap.index = static_cast<int32_t>(i);
@@ -1153,6 +717,10 @@ util::StatusOr<DurableSweepResult> RunCheckpointedSweep(
       snap.clusters = run.clusters;
       state.runs.push_back(std::move(snap));
     }
+    Checkpoint ckpt;
+    ckpt.kind = CheckpointKind::kSweep;
+    ckpt.sweep = state;
+    return ckpt;
   };
 
   auto finish = [&](bool truncated, util::StopReason reason,
@@ -1164,15 +732,8 @@ util::StatusOr<DurableSweepResult> RunCheckpointedSweep(
     report.wall_seconds = state.wall_seconds + run_timer.ElapsedSeconds();
     state.truncated = truncated ? 1 : 0;
     state.stop_reason = static_cast<int32_t>(reason);
-    state.first_unfinished = -1;
-    state.index_builds = report.index_builds;
-    state.shared_model_bytes = report.shared_model_bytes;
     state.wall_seconds = report.wall_seconds;
-    snapshot_runs_prefix(static_cast<int64_t>(points.size()));
-    Checkpoint ckpt;
-    ckpt.kind = CheckpointKind::kSweep;
-    ckpt.sweep = state;
-    return writer.WriteNow(std::move(ckpt));
+    return writer.WriteNow(snapshot(-1));
   };
 
   // A snapshot that says "complete" short-circuits to the stored report.
@@ -1275,15 +836,8 @@ util::StatusOr<DurableSweepResult> RunCheckpointedSweep(
     start = end;
     if (start < points.size()) {
       // Group finished, more to go: snapshot at the boundary.
-      state.first_unfinished = static_cast<int64_t>(start);
-      state.index_builds = report.index_builds;
-      state.shared_model_bytes = report.shared_model_bytes;
       state.wall_seconds = report.wall_seconds + run_timer.ElapsedSeconds();
-      snapshot_runs_prefix(static_cast<int64_t>(start));
-      Checkpoint ckpt;
-      ckpt.kind = CheckpointKind::kSweep;
-      ckpt.sweep = state;
-      writer.Submit(std::move(ckpt));
+      writer.Submit(snapshot(static_cast<int64_t>(start)));
     }
   }
 

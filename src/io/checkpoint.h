@@ -1,37 +1,38 @@
 // Durable checkpoint/restart for mines and sweeps.
 //
-// A long mine (ROADMAP: 100k-gene out-of-core runs) that dies to a crash,
-// OOM kill or preemption today loses everything: ResumeToken splicing only
-// exists in-process.  This module makes the token durable.  A checkpoint is
-// a versioned binary snapshot (magic `RGCXCKP1`) of everything needed to
-// continue a run in a fresh process: the semantic-options fingerprint, a
-// content hash of the input matrix, the resume position, the emitted-cluster
-// prefix and the accumulated MinerStats (for a sweep: the completed-run
-// prefix plus `first_unfinished`).  Snapshots are written with the
-// atomic-replace + CRC32C framing of util/durable_file.h, double-buffered as
-// `PATH.a` / `PATH.b` under a generation counter, so at every instant at
-// least one complete valid snapshot exists on disk; the loader picks the
-// newest valid buffer and falls back to the other when a crash tore the
-// in-flight write.
+// A long mine that dies to a crash, OOM kill or preemption would otherwise
+// lose everything: ResumeToken splicing only exists in-process.  This
+// module makes the run durable.  A checkpoint is a versioned binary
+// snapshot (magic `RGCXCKP1`, format version 2) of everything needed to
+// continue a run in a fresh process.  A mine snapshot is the run's
+// io::RootLedger -- identity plus the per-root slices of the covered root
+// prefix -- and a progress record of volatile telemetry; a sweep snapshot
+// is the completed-run prefix plus `first_unfinished`.  Snapshots are
+// written with the atomic-replace + CRC32C framing of util/durable_file.h,
+// double-buffered as `PATH.a` / `PATH.b` under a generation counter, so at
+// every instant at least one complete valid snapshot exists on disk; the
+// loader picks the newest valid buffer and falls back to the other when a
+// crash tore the in-flight write.
 //
 // Execution model ("chunked mining"): rather than snapshotting DFS internals
 // mid-flight, RunCheckpointedMine drives the existing deterministic
 // machinery -- a sequence of Mine() calls, each truncated at a canonical
 // root boundary by a per-chunk node budget adapted to the requested
-// checkpoint cadence, spliced via ResumeToken.  Root-granular splicing is
-// bit-identical to a single unbudgeted run by the PR-3 contract, and
-// MinerStats counters partition exactly across splices, so the final
-// clusters *and* the deterministic counters of a killed-and-resumed run are
-// byte-identical to an uninterrupted one regardless of where the kill
-// landed.  Snapshots are encoded and written off the mining hot path on a
-// dedicated writer thread (latest-wins; the final snapshot of a run is
-// always written synchronously).
+// checkpoint cadence, spliced via ResumeToken.  Each chunk captures its
+// roots' slices into the ledger.  Root slices are independent of each
+// other, so the final clusters *and* the deterministic counters of a
+// killed-and-resumed run are byte-identical to an uninterrupted one
+// regardless of where the kill landed, and a complete ledger equals the
+// one io::MineInitial records.  Snapshots are encoded and written off the
+// mining hot path on a dedicated writer thread (latest-wins; the final
+// snapshot of a run is always written synchronously).
 //
 // Every malformed on-disk shape is rejected with a distinct kCorruption
 // status (mirroring the matrix-store hardening); semantic mismatches
-// (different options, different matrix, stale generation) are
-// kFailedPrecondition.  tests/io/checkpoint_test.cc and the process-level
-// kill harness tests/integration/crash_harness.cc enforce the contract.
+// (different options, different matrix, stale generation, a version-1
+// snapshot from before the ledger) are kFailedPrecondition.
+// tests/io/checkpoint_test.cc and the process-level kill harness
+// tests/integration/crash_harness.cc enforce the contract.
 
 #ifndef REGCLUSTER_IO_CHECKPOINT_H_
 #define REGCLUSTER_IO_CHECKPOINT_H_
@@ -48,6 +49,7 @@
 
 #include "core/miner.h"
 #include "core/sweep.h"
+#include "io/root_ledger.h"
 #include "matrix/store.h"
 #include "util/hash128.h"
 #include "util/status.h"
@@ -60,11 +62,6 @@ enum class CheckpointKind : uint32_t {
   kSweep = 2,
 };
 
-/// Set in MineCheckpoint::flags when the user requested the
-/// remove_dominated post-pass: chunks are mined without it (a global
-/// post-pass cannot splice) and the pass runs once on the completed output.
-inline constexpr uint32_t kCheckpointFlagRemoveDominated = 1u << 0;
-
 /// Durable-run progress counters, exported as
 /// regcluster_checkpoint_{writes,bytes,last_write_ns,resumes}.
 struct CheckpointStats {
@@ -74,33 +71,21 @@ struct CheckpointStats {
   int64_t resumes = 0;        ///< runs continued from an on-disk snapshot
 };
 
-/// Snapshot of a (possibly unfinished) mine.  `next_root` < 0 means the run
-/// completed: `clusters` is the full raw output (pre dominance pass).
+/// Snapshot of a (possibly unfinished) mine: the ledger of the roots
+/// covered so far plus execution telemetry.  Next root, covered count,
+/// counters and clusters all derive from the ledger.
 struct MineCheckpoint {
-  /// RegClusterMiner::SemanticOptionsHash of the *chunk* options (the user's
-  /// options with remove_dominated forced off; see flags).
-  uint64_t semantic_options_hash = 0;
-  /// Content hash of the input matrix (HashMatrixContent): dims + labels +
-  /// cell payload, identical across the text/resident and binary/mapped
-  /// paths, so a run may resume on either.
-  util::Hash128 matrix_hash{0, 0};
-  int64_t num_genes = 0;
-  int64_t num_conditions = 0;
-  uint32_t flags = 0;  ///< kCheckpointFlag* bits
-  /// First canonical root not covered by `clusters`; -1 when complete.
-  int64_t next_root = -1;
-  int64_t roots_completed = 0;
+  /// Identity (options hash, matrix hash, dims, dominance flag) and the
+  /// slices of roots [0, ledger.next_root()).
+  RootLedger ledger;
   /// Accumulated execution telemetry (scheduling-dependent; carried so a
   /// resumed run can report sensible totals).
   int64_t nodes_visited = 0;
   double wall_seconds = 0.0;
+  double mine_seconds = 0.0;
   int64_t peak_scratch_bytes = 0;
-  /// Accumulated deterministic counters of the covered prefix.
-  core::MinerStats stats;
-  /// Emitted clusters of the covered prefix, in canonical order.
-  std::vector<core::RegCluster> clusters;
 
-  bool complete() const { return next_root < 0; }
+  bool complete() const { return ledger.complete(); }
 };
 
 /// One completed (or per-point-failed) grid point inside a SweepCheckpoint.
@@ -154,14 +139,18 @@ struct Checkpoint {
 
 /// Serializes `ckpt` to the RGCXCKP1 wire format: a 28-byte preamble
 /// (magic, version, endian tag, kind, generation) followed by CRC32C-framed
-/// records (util::AppendRecord) and a count-bearing end record.
+/// records (util::AppendRecord) and a count-bearing end record.  A mine
+/// body is the ledger's records then a progress record; a sweep body is a
+/// context record, an aggregate record and one record per covered point.
 std::string EncodeCheckpoint(const Checkpoint& ckpt);
 
 /// Inverse of EncodeCheckpoint.  Every malformed shape is a distinct
 /// kCorruption: short preamble, bad magic, unsupported version, endianness
 /// mismatch, unknown kind, torn/truncated/bit-flipped records (via
-/// util::RecordReader), missing or out-of-order records, record-count
-/// mismatch, trailing bytes.
+/// util::RecordReader), missing or out-of-order records, sweep run records
+/// out of order or disagreeing with first_unfinished, record-count
+/// mismatch, trailing bytes.  A version-1 snapshot (written before the
+/// root ledger) is kFailedPrecondition: delete it and restart the run.
 util::StatusOr<Checkpoint> DecodeCheckpoint(std::string_view bytes);
 
 /// The double-buffer file a given generation lands in: `base` + ".a" for
@@ -182,23 +171,14 @@ util::Status WriteCheckpointFile(const std::string& base,
 util::StatusOr<Checkpoint> LoadCheckpoint(const std::string& base,
                                           uint64_t min_generation = 0);
 
-/// FNV-128 content hash of a matrix: dims, gene/condition labels, and the
-/// raw IEEE-754 cell payload.  A pure function of the logical matrix --
-/// identical for the resident text path and the mmap'ed binary path.
-util::Hash128 HashMatrixContent(const matrix::MatrixStore& data);
-
 /// Order-sensitive fingerprint of an expanded sweep grid (each point's
 /// semantic options hash mixed in sequence).
 uint64_t HashSweepGrid(const std::vector<core::MinerOptions>& points);
 
-/// Validates that `ckpt` may resume a run over `data` under `options`
-/// (semantic hash, dominance flag, dims, matrix hash).  Each mismatch is a
-/// distinct kFailedPrecondition.
-util::Status ValidateMineCheckpoint(const MineCheckpoint& ckpt,
-                                    const matrix::MatrixStore& data,
-                                    const core::MinerOptions& options);
-
-/// Sweep counterpart: grid hash, point count, dims, matrix hash.
+/// Validates that `ckpt` may resume a sweep over `data` on `points`: grid
+/// size, grid hash, dims, matrix hash.  Each mismatch is a distinct
+/// kFailedPrecondition.  (A mine snapshot is checked by
+/// CheckLedgerIdentity.)
 util::Status ValidateSweepCheckpoint(const SweepCheckpoint& ckpt,
                                      const matrix::MatrixStore& data,
                                      const std::vector<core::MinerOptions>&
@@ -286,9 +266,10 @@ struct DurableMineResult {
 
 /// Runs a mine in resumable chunks, snapshotting progress to
 /// `config.path`.  `resume` (may be null) is a previously loaded snapshot:
-/// it is validated against (data, options) and the run continues from its
-/// next_root.  The clusters and every deterministic MinerStats counter are
-/// byte-identical to an uninterrupted RegClusterMiner::Mine() under
+/// its ledger is checked against (data, options) and the run continues
+/// from its next_root (options.root_set is rejected: the ledger covers the
+/// roots in order).  The clusters and every deterministic MinerStats counter
+/// are byte-identical to an uninterrupted RegClusterMiner::Mine() under
 /// `options` at any kill/resume pattern and any thread count.
 util::StatusOr<DurableMineResult> RunCheckpointedMine(
     const matrix::MatrixStore& data, const core::MinerOptions& options,

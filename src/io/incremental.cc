@@ -1,14 +1,10 @@
 #include "io/incremental.h"
 
-#include <algorithm>
 #include <bit>
 #include <numeric>
-#include <thread>
 #include <utility>
 
-#include "core/bicluster.h"
 #include "core/threshold.h"
-#include "io/checkpoint.h"
 #include "util/bitset.h"
 #include "util/durable_file.h"
 #include "util/timer.h"
@@ -20,242 +16,8 @@ namespace {
 
 constexpr char kMagic[8] = {'R', 'G', 'C', 'X', 'I', 'N', 'C', '1'};
 constexpr uint32_t kVersion = 1;
-constexpr uint32_t kEndianTag = 0x01020304;
 constexpr size_t kPreambleBytes = 16;  // magic + version + endian
-
-// Record tags, in required file order.
-constexpr uint32_t kTagContext = 1;
-constexpr uint32_t kTagRoot = 2;
-constexpr uint32_t kTagEnd = 3;
-
-// ---------------------------------------------------------------------------
-// Little-endian primitive encoding (the checkpoint wire idiom).
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutDouble(std::string* out, double v) {
-  PutU64(out, std::bit_cast<uint64_t>(v));
-}
-
-void PutIntVector(std::string* out, const std::vector<int>& v) {
-  PutU32(out, static_cast<uint32_t>(v.size()));
-  for (int x : v) PutU32(out, static_cast<uint32_t>(x));
-}
-
-// Bounds-checked sequential decoder over one record payload.
-class Cursor {
- public:
-  explicit Cursor(std::string_view data) : data_(data) {}
-
-  util::Status ReadU32(const char* field, uint32_t* v) {
-    REGCLUSTER_RETURN_IF_ERROR(Need(field, 4));
-    uint32_t r = 0;
-    for (int i = 0; i < 4; ++i) {
-      r |= static_cast<uint32_t>(
-               static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    *v = r;
-    pos_ += 4;
-    return util::Status::OK();
-  }
-
-  util::Status ReadU64(const char* field, uint64_t* v) {
-    REGCLUSTER_RETURN_IF_ERROR(Need(field, 8));
-    uint64_t r = 0;
-    for (int i = 0; i < 8; ++i) {
-      r |= static_cast<uint64_t>(
-               static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    *v = r;
-    pos_ += 8;
-    return util::Status::OK();
-  }
-
-  util::Status ReadI64(const char* field, int64_t* v) {
-    uint64_t u = 0;
-    REGCLUSTER_RETURN_IF_ERROR(ReadU64(field, &u));
-    *v = static_cast<int64_t>(u);
-    return util::Status::OK();
-  }
-
-  util::Status ReadDouble(const char* field, double* v) {
-    uint64_t u = 0;
-    REGCLUSTER_RETURN_IF_ERROR(ReadU64(field, &u));
-    *v = std::bit_cast<double>(u);
-    return util::Status::OK();
-  }
-
-  util::Status ReadIntVector(const char* field, std::vector<int>* v) {
-    uint32_t count = 0;
-    REGCLUSTER_RETURN_IF_ERROR(ReadU32(field, &count));
-    REGCLUSTER_RETURN_IF_ERROR(Need(field, 4ull * count));
-    v->resize(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      uint32_t x = 0;
-      (void)ReadU32(field, &x);  // bounds already checked
-      (*v)[i] = static_cast<int>(x);
-    }
-    return util::Status::OK();
-  }
-
-  util::Status ExpectDone(const char* record) {
-    if (pos_ != data_.size()) {
-      return util::Status::Corruption(
-          std::string("trailing bytes in incremental-state record ") + record);
-    }
-    return util::Status::OK();
-  }
-
- private:
-  util::Status Need(const char* field, uint64_t bytes) {
-    if (data_.size() - pos_ < bytes) {
-      return util::Status::Corruption(
-          std::string("truncated incremental-state field ") + field);
-    }
-    return util::Status::OK();
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
-// Same 16-field layout as the checkpoint format (13 i64 counters then 3
-// doubles); the profiling *_ns fields are volatile and not round-tripped.
-void PutMinerStats(std::string* out, const core::MinerStats& s) {
-  PutI64(out, s.nodes_expanded);
-  PutI64(out, s.extensions_tested);
-  PutI64(out, s.pruned_min_genes);
-  PutI64(out, s.pruned_p_majority);
-  PutI64(out, s.pruned_duplicate);
-  PutI64(out, s.pruned_coherence);
-  PutI64(out, s.genes_dropped_min_conds);
-  PutI64(out, s.clusters_emitted);
-  PutI64(out, s.index_builds);
-  PutI64(out, s.index_word_ops);
-  PutI64(out, s.coherence_divide_calls);
-  PutI64(out, s.coherence_scores);
-  PutI64(out, s.dedup_probes);
-  PutDouble(out, s.rwave_build_seconds);
-  PutDouble(out, s.index_build_seconds);
-  PutDouble(out, s.mine_seconds);
-}
-
-util::Status ReadMinerStats(Cursor* c, core::MinerStats* s) {
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadI64("nodes_expanded", &s->nodes_expanded));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("extensions_tested", &s->extensions_tested));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("pruned_min_genes", &s->pruned_min_genes));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("pruned_p_majority", &s->pruned_p_majority));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("pruned_duplicate", &s->pruned_duplicate));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("pruned_coherence", &s->pruned_coherence));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("genes_dropped_min_conds", &s->genes_dropped_min_conds));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("clusters_emitted", &s->clusters_emitted));
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadI64("index_builds", &s->index_builds));
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadI64("index_word_ops", &s->index_word_ops));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("coherence_divide_calls", &s->coherence_divide_calls));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("coherence_scores", &s->coherence_scores));
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadI64("dedup_probes", &s->dedup_probes));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadDouble("rwave_build_seconds", &s->rwave_build_seconds));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadDouble("index_build_seconds", &s->index_build_seconds));
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadDouble("mine_seconds", &s->mine_seconds));
-  return util::Status::OK();
-}
-
-void PutClusters(std::string* out,
-                 const std::vector<core::RegCluster>& clusters) {
-  PutU64(out, clusters.size());
-  for (const core::RegCluster& c : clusters) {
-    PutIntVector(out, c.chain);
-    PutIntVector(out, c.p_genes);
-    PutIntVector(out, c.n_genes);
-  }
-}
-
-util::Status ReadClusters(Cursor* c, std::vector<core::RegCluster>* clusters) {
-  uint64_t count = 0;
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadU64("cluster count", &count));
-  clusters->clear();
-  clusters->reserve(count < (1u << 20) ? count : (1u << 20));
-  for (uint64_t i = 0; i < count; ++i) {
-    core::RegCluster cl;
-    REGCLUSTER_RETURN_IF_ERROR(c->ReadIntVector("cluster chain", &cl.chain));
-    REGCLUSTER_RETURN_IF_ERROR(
-        c->ReadIntVector("cluster p_genes", &cl.p_genes));
-    REGCLUSTER_RETURN_IF_ERROR(
-        c->ReadIntVector("cluster n_genes", &cl.n_genes));
-    clusters->push_back(std::move(cl));
-  }
-  return util::Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// Splice machinery.
-
-/// The deterministic + profiling fields that partition across roots.  The
-/// wall-clock/build fields are set once at the top level, not summed.
-void AccumulateSliceStats(const core::MinerStats& from, core::MinerStats* to) {
-  to->nodes_expanded += from.nodes_expanded;
-  to->extensions_tested += from.extensions_tested;
-  to->pruned_min_genes += from.pruned_min_genes;
-  to->pruned_p_majority += from.pruned_p_majority;
-  to->pruned_duplicate += from.pruned_duplicate;
-  to->pruned_coherence += from.pruned_coherence;
-  to->genes_dropped_min_conds += from.genes_dropped_min_conds;
-  to->clusters_emitted += from.clusters_emitted;
-  to->index_word_ops += from.index_word_ops;
-  to->coherence_divide_calls += from.coherence_divide_calls;
-  to->coherence_scores += from.coherence_scores;
-  to->dedup_probes += from.dedup_probes;
-  to->filter_ns += from.filter_ns;
-  to->score_ns += from.score_ns;
-  to->sort_ns += from.sort_ns;
-  to->emit_ns += from.emit_ns;
-}
-
-/// HashMatrixContent restricted to the first `cols` conditions -- exactly
-/// the hash the pre-append matrix would produce, reconstructable from the
-/// grown matrix because conditions only ever append at the end.
-util::Hash128 HashMatrixPrefix(const matrix::MatrixStore& data, int cols) {
-  util::Fnv128 h;
-  h.MixInt(data.num_genes());
-  h.MixInt(cols);
-  for (int g = 0; g < data.num_genes(); ++g) {
-    const std::string& name = data.gene_name(g);
-    h.Mix64(static_cast<uint64_t>(name.size()));
-    h.MixBytes(name.data(), name.size());
-  }
-  for (int c = 0; c < cols; ++c) {
-    const std::string& name = data.condition_name(c);
-    h.Mix64(static_cast<uint64_t>(name.size()));
-    h.MixBytes(name.data(), name.size());
-  }
-  for (int g = 0; g < data.num_genes(); ++g) {
-    h.MixBytes(data.row_data(g), static_cast<size_t>(cols) * sizeof(double));
-  }
-  return h.Digest();
-}
+constexpr const char* kNoun = "incremental-state";
 
 /// The execution shapes root-granular splicing cannot reproduce.  Each is a
 /// distinct InvalidArgument so callers learn which knob to drop.
@@ -302,12 +64,6 @@ util::Status ValidateIncrementalOptions(const core::MinerOptions& o) {
   return util::Status::OK();
 }
 
-int ResolveThreads(int num_threads) {
-  if (num_threads != 0) return num_threads;
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  return hw < 1 ? 1 : hw;
-}
-
 /// Mines the given roots of `data` on `model`, capturing per-root slices.
 util::Status MineRootSlices(const matrix::MatrixStore& data,
                             const core::MinerOptions& options,
@@ -315,8 +71,7 @@ util::Status MineRootSlices(const matrix::MatrixStore& data,
                                 model,
                             std::vector<int> roots,
                             std::vector<core::RootMineResult>* slices) {
-  core::MinerOptions slice_opts = options;
-  slice_opts.remove_dominated = false;
+  core::MinerOptions slice_opts = SliceOptions(options);
   slice_opts.capture_root_results = true;
   slice_opts.shared_model = std::move(model);
   slice_opts.root_set = std::move(roots);
@@ -327,38 +82,21 @@ util::Status MineRootSlices(const matrix::MatrixStore& data,
   return util::Status::OK();
 }
 
-/// Assembles the final result from the full per-root slice vector.
+/// Assembles the final result from a complete ledger.
 IncrementalMineResult AssembleResult(
-    const matrix::MatrixStore& data, const core::MinerOptions& options,
-    std::shared_ptr<const core::SharedGammaModel> model,
-    std::vector<core::RootMineResult> slices, double mine_seconds) {
+    RootLedger ledger, std::shared_ptr<const core::SharedGammaModel> model,
+    double mine_seconds) {
   IncrementalMineResult r;
-  r.state.semantic_options_hash = [&options] {
-    core::MinerOptions slice_opts = options;
-    slice_opts.remove_dominated = false;
-    return core::RegClusterMiner::SemanticOptionsHash(slice_opts);
-  }();
-  r.state.matrix_hash = HashMatrixContent(data);
-  r.state.num_genes = data.num_genes();
-  r.state.num_conditions = data.num_conditions();
-  r.state.flags =
-      options.remove_dominated ? kIncrementalFlagRemoveDominated : 0;
-  r.state.roots = std::move(slices);
-  for (const core::RootMineResult& slice : r.state.roots) {
-    AccumulateSliceStats(slice.stats, &r.stats);
-    r.clusters.insert(r.clusters.end(), slice.clusters.begin(),
-                      slice.clusters.end());
-  }
+  r.state = std::move(ledger);
+  r.clusters = r.state.Output();
   // The splice is the whole run, so the run-level fields mirror what a
   // non-shared Mine() would have reported: one model build (ours), its
   // build times, and this call's wall clock.
+  r.stats = r.state.SummedStats();
   r.stats.index_builds = 1;
   r.stats.rwave_build_seconds = model->rwave_build_seconds;
   r.stats.index_build_seconds = model->index_build_seconds;
   r.stats.mine_seconds = mine_seconds;
-  if (options.remove_dominated) {
-    r.clusters = core::RemoveDominated(std::move(r.clusters));
-  }
   r.model = std::move(model);
   return r;
 }
@@ -397,15 +135,15 @@ std::vector<int> ComputeDirtyRoots(const core::RWaveBitmapIndex& index,
 util::StatusOr<IncrementalMineResult> MineInitial(
     const matrix::MatrixStore& data, const core::MinerOptions& options) {
   REGCLUSTER_RETURN_IF_ERROR(ValidateIncrementalOptions(options));
-  const int threads = ResolveThreads(options.num_threads);
   const core::GammaSpec spec{options.gamma_policy, options.gamma};
   util::WallTimer timer;
-  auto model = core::SharedGammaModel::Build(data, spec,
-                                             options.min_conditions, threads);
-  std::vector<core::RootMineResult> slices;
+  auto model = core::SharedGammaModel::Build(
+      data, spec, options.min_conditions, options.num_threads);
+  RootLedger ledger = NewLedger(data, options);
   // Empty root_set = a plain full run; the capture hook records every root.
-  REGCLUSTER_RETURN_IF_ERROR(MineRootSlices(data, options, model, {}, &slices));
-  return AssembleResult(data, options, std::move(model), std::move(slices),
+  REGCLUSTER_RETURN_IF_ERROR(
+      MineRootSlices(data, options, model, {}, &ledger.roots));
+  return AssembleResult(std::move(ledger), std::move(model),
                         timer.ElapsedSeconds());
 }
 
@@ -420,38 +158,13 @@ util::StatusOr<IncrementalMineResult> MineIncremental(
     return util::Status::InvalidArgument(
         "first_new must be in [0, num_conditions]");
   }
-  if (prev.num_genes != num_genes) {
-    return util::Status::FailedPrecondition(
-        "incremental state was mined over a different gene set");
-  }
-  if (prev.num_conditions != first_new) {
-    return util::Status::FailedPrecondition(
-        "first_new does not match the incremental state's condition count");
-  }
-  core::MinerOptions slice_opts = options;
-  slice_opts.remove_dominated = false;
-  if (prev.semantic_options_hash !=
-      core::RegClusterMiner::SemanticOptionsHash(slice_opts)) {
-    return util::Status::FailedPrecondition(
-        "incremental state was mined under different options");
-  }
-  const uint32_t flags =
-      options.remove_dominated ? kIncrementalFlagRemoveDominated : 0;
-  if (prev.flags != flags) {
-    return util::Status::FailedPrecondition(
-        "incremental state disagrees on the remove_dominated post-pass");
-  }
-  if (HashMatrixPrefix(new_data, first_new) != prev.matrix_hash) {
-    return util::Status::FailedPrecondition(
-        "matrix prefix differs from the one the incremental state was "
-        "mined over (appends must only add conditions at the end)");
-  }
-  if (static_cast<int64_t>(prev.roots.size()) != prev.num_conditions) {
+  REGCLUSTER_RETURN_IF_ERROR(
+      CheckLedgerIdentity(prev, new_data, first_new, options));
+  if (!prev.complete()) {
     return util::Status::FailedPrecondition(
         "incremental state does not cover every previous root");
   }
 
-  const int threads = ResolveThreads(options.num_threads);
   const core::GammaSpec spec{options.gamma_policy, options.gamma};
   util::WallTimer timer;
   std::shared_ptr<const core::SharedGammaModel> model;
@@ -464,11 +177,12 @@ util::StatusOr<IncrementalMineResult> MineIncremental(
           std::bit_cast<uint64_t>(spec.gamma) &&
       prev_model->max_chain_need >= options.min_conditions;
   if (model_compatible) {
-    model = core::SharedGammaModel::UpdateAppend(*prev_model, new_data,
-                                                 first_new, threads);
+    model = core::SharedGammaModel::UpdateAppend(
+        *prev_model, new_data, first_new, options.num_threads);
   } else {
     model = core::SharedGammaModel::Build(new_data, spec,
-                                          options.min_conditions, threads);
+                                          options.min_conditions,
+                                          options.num_threads);
   }
 
   // All-dirty fallbacks first: a moved per-gene threshold changes regulation
@@ -498,21 +212,16 @@ util::StatusOr<IncrementalMineResult> MineIncremental(
         MineRootSlices(new_data, options, model, dirty, &mined));
   }
 
-  // Splice: dirty roots from this run, clean roots from the previous state,
-  // in ascending root order (= canonical merge order of a full run).
-  std::vector<core::RootMineResult> slices;
-  slices.reserve(static_cast<size_t>(num_conds));
-  size_t mi = 0;
-  for (int c = 0; c < num_conds; ++c) {
-    if (mi < mined.size() && mined[mi].root == c) {
-      slices.push_back(std::move(mined[mi]));
-      ++mi;
-    } else {
-      slices.push_back(prev.roots[static_cast<size_t>(c)]);
-    }
+  // Splice: the previous ledger's slices with every dirty root replaced by
+  // this run's (appended roots are always dirty).
+  RootLedger ledger = NewLedger(new_data, options);
+  ledger.roots = prev.roots;
+  ledger.roots.resize(static_cast<size_t>(num_conds));
+  for (core::RootMineResult& slice : mined) {
+    ledger.roots[static_cast<size_t>(slice.root)] = std::move(slice);
   }
-  auto result = AssembleResult(new_data, options, std::move(model),
-                               std::move(slices), timer.ElapsedSeconds());
+  auto result = AssembleResult(std::move(ledger), std::move(model),
+                               timer.ElapsedSeconds());
   result.roots_remined = static_cast<int>(dirty.size());
   result.roots_spliced = num_conds - static_cast<int>(dirty.size());
   return result;
@@ -520,141 +229,30 @@ util::StatusOr<IncrementalMineResult> MineIncremental(
 
 std::string EncodeIncrementalState(const IncrementalState& state) {
   std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  PutU32(&out, kVersion);
-  PutU32(&out, kEndianTag);
-  {
-    std::string rec;
-    PutU32(&rec, kTagContext);
-    PutU64(&rec, state.semantic_options_hash);
-    PutU64(&rec, state.matrix_hash.hi);
-    PutU64(&rec, state.matrix_hash.lo);
-    PutI64(&rec, state.num_genes);
-    PutI64(&rec, state.num_conditions);
-    PutU32(&rec, state.flags);
-    util::AppendRecord(&out, rec);
-  }
-  for (const core::RootMineResult& slice : state.roots) {
-    std::string rec;
-    PutU32(&rec, kTagRoot);
-    PutU32(&rec, static_cast<uint32_t>(slice.root));
-    PutMinerStats(&rec, slice.stats);
-    PutClusters(&rec, slice.clusters);
-    util::AppendRecord(&out, rec);
-  }
-  {
-    std::string rec;
-    PutU32(&rec, kTagEnd);
-    PutU64(&rec, state.roots.size());
-    util::AppendRecord(&out, rec);
-  }
+  PutPreamble(&out, std::string_view(kMagic, sizeof kMagic), kVersion);
+  EncodeLedgerRecords(state, &out);
   return out;
 }
 
 util::StatusOr<IncrementalState> DecodeIncrementalState(
     std::string_view bytes) {
-  if (bytes.size() < kPreambleBytes) {
-    return util::Status::Corruption("short incremental-state preamble");
-  }
-  if (std::string_view(bytes.data(), sizeof(kMagic)) !=
-      std::string_view(kMagic, sizeof(kMagic))) {
-    return util::Status::Corruption("bad incremental-state magic");
-  }
-  Cursor pre(bytes.substr(sizeof(kMagic), kPreambleBytes - sizeof(kMagic)));
-  uint32_t version = 0, endian = 0;
-  REGCLUSTER_RETURN_IF_ERROR(pre.ReadU32("version", &version));
-  REGCLUSTER_RETURN_IF_ERROR(pre.ReadU32("endian tag", &endian));
+  uint32_t version = 0;
+  auto pre = ReadPreamble(bytes, kPreambleBytes,
+                          std::string_view(kMagic, sizeof kMagic), kNoun,
+                          &version);
+  if (!pre.ok()) return pre.status();
   if (version != kVersion) {
-    return util::Status::Corruption("unsupported incremental-state version");
+    return util::Status::Corruption("unsupported incremental-state version " +
+                                    std::to_string(version));
   }
-  if (endian != kEndianTag) {
-    return util::Status::Corruption(
-        "incremental state written with a different byte order");
-  }
-
   IncrementalState state;
-  util::RecordReader reader(bytes.substr(kPreambleBytes));
-  bool saw_context = false;
-  bool saw_end = false;
-  uint64_t declared_roots = 0;
-  while (!reader.AtEnd()) {
-    if (saw_end) {
-      return util::Status::Corruption(
-          "records after the incremental-state end record");
-    }
-    auto rec = reader.Next();
-    if (!rec.ok()) return rec.status();
-    Cursor c(*rec);
-    uint32_t tag = 0;
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("record tag", &tag));
-    switch (tag) {
-      case kTagContext: {
-        if (saw_context) {
-          return util::Status::Corruption(
-              "duplicate incremental-state context record");
-        }
-        saw_context = true;
-        REGCLUSTER_RETURN_IF_ERROR(
-            c.ReadU64("semantic_options_hash", &state.semantic_options_hash));
-        REGCLUSTER_RETURN_IF_ERROR(
-            c.ReadU64("matrix_hash.hi", &state.matrix_hash.hi));
-        REGCLUSTER_RETURN_IF_ERROR(
-            c.ReadU64("matrix_hash.lo", &state.matrix_hash.lo));
-        REGCLUSTER_RETURN_IF_ERROR(c.ReadI64("num_genes", &state.num_genes));
-        REGCLUSTER_RETURN_IF_ERROR(
-            c.ReadI64("num_conditions", &state.num_conditions));
-        REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("flags", &state.flags));
-        REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("context"));
-        break;
-      }
-      case kTagRoot: {
-        if (!saw_context) {
-          return util::Status::Corruption(
-              "incremental-state root record before the context record");
-        }
-        core::RootMineResult slice;
-        uint32_t root = 0;
-        REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("root", &root));
-        slice.root = static_cast<int>(root);
-        const int expected =
-            state.roots.empty() ? 0 : state.roots.back().root + 1;
-        if (slice.root != expected ||
-            static_cast<int64_t>(slice.root) >= state.num_conditions) {
-          return util::Status::Corruption(
-              "incremental-state root records out of order");
-        }
-        REGCLUSTER_RETURN_IF_ERROR(ReadMinerStats(&c, &slice.stats));
-        REGCLUSTER_RETURN_IF_ERROR(ReadClusters(&c, &slice.clusters));
-        REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("root"));
-        state.roots.push_back(std::move(slice));
-        break;
-      }
-      case kTagEnd: {
-        if (!saw_context) {
-          return util::Status::Corruption(
-              "incremental-state end record before the context record");
-        }
-        saw_end = true;
-        REGCLUSTER_RETURN_IF_ERROR(c.ReadU64("root count", &declared_roots));
-        REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("end"));
-        break;
-      }
-      default:
-        return util::Status::Corruption(
-            "unknown incremental-state record tag");
-    }
-  }
-  if (!saw_context) {
-    return util::Status::Corruption("missing incremental-state context record");
-  }
-  if (!saw_end) {
-    return util::Status::Corruption("missing incremental-state end record");
-  }
-  if (declared_roots != state.roots.size()) {
+  RecordStream in(bytes.substr(kPreambleBytes), kNoun);
+  REGCLUSTER_RETURN_IF_ERROR(DecodeLedgerRecords(&in, &state));
+  if (!in.AtEnd()) {
     return util::Status::Corruption(
-        "incremental-state root count does not match its records");
+        "records after the incremental-state end record");
   }
-  if (static_cast<int64_t>(state.roots.size()) != state.num_conditions) {
+  if (!state.complete()) {
     return util::Status::Corruption(
         "incremental state does not cover every root");
   }

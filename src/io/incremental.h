@@ -8,7 +8,7 @@
 // into their sorted order), and the search re-runs only the *dirty roots* --
 // level-1 conditions whose subtree can possibly involve an appended
 // condition -- splicing every other root's (stats, clusters) slice from the
-// previous run's recorded per-root results (MinerOptions::root_set +
+// previous run's io::RootLedger (MinerOptions::root_set +
 // capture_root_results).
 //
 // Dirty-set rule (proof sketch in DESIGN.md): regulation reachability is
@@ -30,10 +30,11 @@
 // Contract: after any append sequence, MineIncremental's clusters AND every
 // deterministic MinerStats counter are byte-identical to a from-scratch
 // RegClusterMiner::Mine() over the grown matrix, at any thread count
-// (tests/core/incremental_append_test.cc).  The state is durable: a
-// versioned binary snapshot (magic RGCXINC1, CRC32C-framed records like the
-// checkpoint format) holding the per-root slices, so the CLI chains appends
-// across processes (`mine --append=cols.txt --prev-outcome=STATE`).
+// (tests/core/incremental_append_test.cc).  The state is a complete root
+// ledger and is durable: a 16-byte RGCXINC1 preamble followed by the
+// ledger's records (io/root_ledger.h), so the CLI chains appends across
+// processes (`mine --append=cols.txt --prev-outcome=STATE`).  A checkpointed
+// mine that completes holds the same ledger, byte for byte.
 
 #ifndef REGCLUSTER_IO_INCREMENTAL_H_
 #define REGCLUSTER_IO_INCREMENTAL_H_
@@ -45,33 +46,16 @@
 #include <vector>
 
 #include "core/miner.h"
+#include "io/root_ledger.h"
 #include "matrix/store.h"
-#include "util/hash128.h"
 #include "util/status.h"
 
 namespace regcluster {
 namespace io {
 
-/// Set in IncrementalState::flags when the user mines with remove_dominated:
-/// per-root slices are recorded without it (a global post-pass cannot be
-/// attributed to roots) and the pass runs once over each spliced output.
-inline constexpr uint32_t kIncrementalFlagRemoveDominated = 1u << 0;
-
-/// Everything a later append needs from the previous mine: identity of the
-/// matrix and options it answered, plus every root's (stats, clusters)
-/// slice in ascending root order.
-struct IncrementalState {
-  /// RegClusterMiner::SemanticOptionsHash of the slice options (the user's
-  /// options with remove_dominated forced off; see flags).
-  uint64_t semantic_options_hash = 0;
-  /// HashMatrixContent of the matrix the slices were mined over.
-  util::Hash128 matrix_hash{0, 0};
-  int64_t num_genes = 0;
-  int64_t num_conditions = 0;
-  uint32_t flags = 0;  ///< kIncrementalFlag* bits
-  /// One slice per root condition, ascending; clusters are pre-dominance.
-  std::vector<core::RootMineResult> roots;
-};
+/// Everything a later append needs from the previous mine: the complete
+/// root ledger of the matrix and options it answered.
+using IncrementalState = RootLedger;
 
 /// What an incremental (or initial) mine produced.
 struct IncrementalMineResult {
@@ -104,24 +88,23 @@ util::StatusOr<IncrementalMineResult> MineInitial(
 /// splices every clean root from `prev`.  `prev_model` (may be null) is the
 /// gamma model of the previous step at width `first_new`; when compatible it
 /// delta-updates via SharedGammaModel::UpdateAppend, otherwise the model is
-/// rebuilt at the new width (same bytes either way).  Validates that `prev`
-/// matches the options (semantic hash, dominance flag) and that the first
-/// `first_new` columns of `new_data` are content-identical to the matrix
-/// `prev` was mined over; each mismatch is a distinct FailedPrecondition.
+/// rebuilt at the new width (same bytes either way).  Checks `prev` against
+/// the options and the first `first_new` columns of `new_data`
+/// (CheckLedgerIdentity) and that it covers every root; each mismatch is a
+/// distinct FailedPrecondition.
 util::StatusOr<IncrementalMineResult> MineIncremental(
     const matrix::MatrixStore& new_data, int first_new,
     const core::MinerOptions& options, const IncrementalState& prev,
     std::shared_ptr<const core::SharedGammaModel> prev_model = nullptr);
 
 /// Serializes `state` to the RGCXINC1 wire format: a 16-byte preamble
-/// (magic, version, endian tag) followed by CRC32C-framed records
-/// (util::AppendRecord) -- a context record, one record per root slice, and
-/// a count-bearing end record.
+/// (magic, version, endian tag) followed by the ledger's records.
 std::string EncodeIncrementalState(const IncrementalState& state);
 
 /// Inverse of EncodeIncrementalState.  Every malformed shape is a distinct
 /// kCorruption (short preamble, bad magic, version/endianness mismatch,
-/// torn records, out-of-order roots, count mismatch, trailing bytes).
+/// torn records, out-of-order roots, count mismatch, a ledger that does not
+/// cover every root, trailing bytes).
 util::StatusOr<IncrementalState> DecodeIncrementalState(
     std::string_view bytes);
 

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "io/checkpoint.h"
+#include "io/root_ledger.h"
 #include "matrix/expression_matrix.h"
 #include "matrix/matrix_io.h"
 

@@ -4,7 +4,7 @@
 // Level 1 is keyed by the matrix path and holds the storage handle (a
 // resident ExpressionMatrix for text inputs, an mmap-backed MappedMatrix
 // for the binary format) together with its content hash -- the same
-// io::HashMatrixContent fingerprint the checkpoint layer binds snapshots
+// io::HashMatrixContent fingerprint the root ledger binds snapshots
 // to, and identical across the resident and mapped paths.  Level 2 is
 // keyed by (content hash, gamma policy, gamma): everything a
 // SharedGammaModel depends on.  Keying models by *content* rather than

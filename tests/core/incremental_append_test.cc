@@ -7,7 +7,10 @@
 // ones freshly built at the new width, including across 64-bit word
 // boundaries.  A tiny-matrix leg re-checks each step against the
 // exhaustive first-principles oracle, so the equivalence is not just
-// "incremental == miner" but "incremental == Definition 3.3".
+// "incremental == miner" but "incremental == Definition 3.3".  The root
+// ledger legs check that a checkpointed mine ends on the very ledger
+// MineInitial records, and that the ledger and sweep decoders reject, or
+// round-trip exactly, record payloads mutated under a valid CRC.
 
 #include <cstdint>
 #include <cstdio>
@@ -19,9 +22,12 @@
 #include "core/miner.h"
 #include "core/rwave_index.h"
 #include "core/threshold.h"
+#include "io/checkpoint.h"
 #include "io/incremental.h"
 #include "matrix/expression_matrix.h"
+#include "synth/generator.h"
 #include "testing/oracle_miner.h"
+#include "util/durable_file.h"
 #include "util/prng.h"
 #include "util/status.h"
 
@@ -710,6 +716,339 @@ TEST(IncrementalState, MismatchedPrevIsFailedPrecondition) {
     auto r = MineIncremental(grown, 7, threaded, seeded->state);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
   }
+}
+
+
+// ---------------------------------------------------------------------
+// One ledger from both paths: a checkpointed mine that completes holds
+// exactly the ledger MineInitial records -- root by root and byte for
+// byte -- whether it ran fresh or resumed from a mid-run snapshot.
+
+ExpressionMatrix LedgerMatrix() {
+  synth::SyntheticConfig cfg;
+  cfg.num_genes = 120;
+  cfg.num_conditions = 12;
+  cfg.num_clusters = 3;
+  cfg.avg_cluster_genes_fraction = 0.08;
+  cfg.seed = 808;
+  auto ds = synth::GenerateSynthetic(cfg);
+  EXPECT_TRUE(ds.ok());
+  return ds->data;
+}
+
+MinerOptions LedgerOptions(int threads) {
+  MinerOptions o;
+  o.min_genes = 5;
+  o.min_conditions = 4;
+  o.gamma = 0.15;
+  o.epsilon = 0.1;
+  o.num_threads = threads;
+  return o;
+}
+
+std::string LedgerTempPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + name;
+}
+
+void ExpectSameLedger(const RootLedger& got, const RootLedger& want) {
+  ASSERT_TRUE(got.complete());
+  ExpectStatesEqual(got, want);
+  EXPECT_EQ(EncodeIncrementalState(got), EncodeIncrementalState(want));
+}
+
+TEST(RootLedger, FreshCheckpointedMineEqualsMineInitial) {
+  const ExpressionMatrix data = LedgerMatrix();
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const MinerOptions o = LedgerOptions(threads);
+    auto initial = MineInitial(data, o);
+    ASSERT_TRUE(initial.ok()) << initial.status().ToString();
+
+    CheckpointConfig config;
+    config.path = LedgerTempPath("ledger_fresh_t" + std::to_string(threads));
+    config.synchronous = true;
+    config.initial_chunk_nodes = 64;
+    config.every_ms = 1;
+    auto mined = RunCheckpointedMine(data, o, config, nullptr);
+    ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+    auto snap = LoadCheckpoint(config.path);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    ExpectSameLedger(snap->mine.ledger, initial->state);
+    ExpectClustersEqual(mined->clusters, initial->clusters, "output");
+  }
+}
+
+TEST(RootLedger, ResumedCheckpointedMineEqualsMineInitial) {
+  const ExpressionMatrix data = LedgerMatrix();
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const MinerOptions o = LedgerOptions(threads);
+    auto initial = MineInitial(data, o);
+    ASSERT_TRUE(initial.ok()) << initial.status().ToString();
+
+    // A synchronous run from one-node chunks leaves its penultimate
+    // (mid-run) snapshot in the buffer the final write did not target.
+    CheckpointConfig config;
+    config.path = LedgerTempPath("ledger_midrun_t" + std::to_string(threads));
+    config.synchronous = true;
+    config.initial_chunk_nodes = 1;
+    config.every_ms = 1;
+    auto full = RunCheckpointedMine(data, o, config, nullptr);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    ASSERT_GE(full->checkpoint.writes, 2);
+    auto last = LoadCheckpoint(config.path);
+    ASSERT_TRUE(last.ok());
+    auto midrun = LoadCheckpoint(
+        CheckpointBufferPath(config.path, last->generation + 1));
+    ASSERT_TRUE(midrun.ok()) << midrun.status().ToString();
+    ASSERT_FALSE(midrun->mine.complete());
+    ASSERT_GT(midrun->mine.ledger.next_root(), 0);
+
+    CheckpointConfig resume_config;
+    resume_config.path =
+        LedgerTempPath("ledger_resumed_t" + std::to_string(threads));
+    resume_config.synchronous = true;
+    auto resumed = RunCheckpointedMine(data, o, resume_config, &midrun->mine);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    auto snap = LoadCheckpoint(resume_config.path);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    ExpectSameLedger(snap->mine.ledger, initial->state);
+    ExpectClustersEqual(resumed->clusters, initial->clusters, "output");
+  }
+}
+
+TEST(RootLedger, RootRecordsOutOfOrderAreCorruption) {
+  // CRC-valid state files whose root records do not count 0, 1, ... up to
+  // num_conditions: a swapped pair, and a root past the matrix.
+  IncrementalState swapped = SampleState();
+  ASSERT_GE(swapped.roots.size(), 2u);
+  std::swap(swapped.roots[0].root, swapped.roots[1].root);
+  IncrementalState past_end = SampleState();
+  past_end.num_conditions -= 1;  // the last root now lies past the matrix
+  for (const IncrementalState& bad : {swapped, past_end}) {
+    auto got = DecodeIncrementalState(EncodeIncrementalState(bad));
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), util::StatusCode::kCorruption);
+    EXPECT_NE(got.status().message().find("root records out of order"),
+              std::string::npos)
+        << got.status().message();
+  }
+}
+
+// ---------------------------------------------------------------------
+// Re-framed mutation of the ledger and sweep decoders.  Flip, truncation
+// and splice tests on whole files stop at the record CRC; these mutate
+// the record *payloads* and re-frame them with a valid CRC, so the
+// Cursor bounds checks and the decoders' structural checks must catch
+// them.  Every input must fail with a Status or decode to a value that
+// re-encodes to the same bytes.
+
+// A snapshot split into its unframed preamble and record payloads.
+struct Framed {
+  std::string preamble;
+  std::vector<std::string> payloads;
+
+  std::string Join() const {
+    std::string out = preamble;
+    for (const std::string& p : payloads) util::AppendRecord(&out, p);
+    return out;
+  }
+};
+
+Framed Split(const std::string& bytes, size_t preamble) {
+  Framed f;
+  f.preamble = bytes.substr(0, preamble);
+  util::RecordReader reader(std::string_view(bytes).substr(preamble));
+  while (!reader.AtEnd()) {
+    auto rec = reader.Next();
+    EXPECT_TRUE(rec.ok());
+    if (!rec.ok()) break;
+    f.payloads.emplace_back(*rec);
+  }
+  return f;
+}
+
+// The three decoders under test, each with its own encoder.
+struct Format {
+  const char* name;
+  size_t preamble;
+  std::string (*roundtrip)(const std::string& bytes, bool* decoded);
+};
+
+std::string RoundTripState(const std::string& bytes, bool* decoded) {
+  auto d = DecodeIncrementalState(bytes);
+  *decoded = d.ok();
+  return d.ok() ? EncodeIncrementalState(*d) : std::string();
+}
+
+std::string RoundTripCheckpoint(const std::string& bytes, bool* decoded) {
+  auto d = DecodeCheckpoint(bytes);
+  *decoded = d.ok();
+  return d.ok() ? EncodeCheckpoint(*d) : std::string();
+}
+
+int ExpectFailsOrRoundTrips(const Format& fmt, const std::string& bytes,
+                            const std::string& what) {
+  bool decoded = false;
+  const std::string again = fmt.roundtrip(bytes, &decoded);
+  if (decoded) {
+    EXPECT_EQ(again, bytes) << fmt.name << " " << what
+                            << " decoded to a different value";
+  }
+  return decoded ? 1 : 0;
+}
+
+// Runs every mutation kind over every record of `seed_bytes`; `other` is a
+// second valid encoding to splice with.
+void MutateAll(const Format& fmt, const std::string& seed_bytes,
+               const std::string& other, uint64_t seed) {
+  SCOPED_TRACE(fmt.name);
+  const Framed base = Split(seed_bytes, fmt.preamble);
+  const Framed alt = Split(other, fmt.preamble);
+  ASSERT_EQ(base.Join(), seed_bytes);
+  util::Prng prng(seed);
+  int inputs = 0, decoded = 0;
+  auto check = [&](const Framed& f, const std::string& what) {
+    ++inputs;
+    decoded += ExpectFailsOrRoundTrips(fmt, f.Join(), what);
+  };
+  for (size_t r = 0; r < base.payloads.size(); ++r) {
+    const std::string& p = base.payloads[r];
+    const std::string rec = "record " + std::to_string(r);
+    for (size_t i = 0; i < p.size(); ++i) {
+      Framed f = base;  // one random bit of every byte
+      f.payloads[r][i] ^= static_cast<char>(1u << prng.UniformInt(0, 7));
+      check(f, rec + " flip at " + std::to_string(i));
+    }
+    for (size_t i = 0; i + 4 <= p.size(); ++i) {
+      Framed f = base;  // every u32 count/length slot saturated
+      f.payloads[r].replace(i, 4, 4, '\xFF');
+      check(f, rec + " 0xFFFFFFFF at " + std::to_string(i));
+    }
+    for (size_t cut = 0; cut < p.size(); ++cut) {
+      Framed f = base;
+      f.payloads[r].resize(cut);
+      check(f, rec + " truncated to " + std::to_string(cut));
+    }
+    for (int k = 0; k < 16; ++k) {
+      const size_t at = static_cast<size_t>(
+          prng.UniformInt(0, static_cast<int64_t>(p.size())));
+      Framed ins = base;
+      ins.payloads[r].insert(
+          at, 1, static_cast<char>(prng.UniformInt(0, 255)));
+      check(ins, rec + " insert at " + std::to_string(at));
+      if (at < p.size()) {
+        Framed del = base;
+        del.payloads[r].erase(at, 1);
+        check(del, rec + " delete at " + std::to_string(at));
+      }
+    }
+    for (const std::string& q : alt.payloads) {
+      for (int k = 0; k < 8; ++k) {
+        const size_t i = static_cast<size_t>(
+            prng.UniformInt(0, static_cast<int64_t>(p.size())));
+        const size_t j = static_cast<size_t>(
+            prng.UniformInt(0, static_cast<int64_t>(q.size())));
+        Framed f = base;  // payload splice: head of ours, tail of theirs
+        f.payloads[r] = p.substr(0, i) + q.substr(j);
+        check(f, rec + " spliced");
+      }
+    }
+  }
+  // Record-level splices: our first k records, their records from m on.
+  for (size_t k = 0; k <= base.payloads.size(); ++k) {
+    for (size_t m = 0; m <= alt.payloads.size(); ++m) {
+      Framed f = base;
+      f.payloads.resize(k);
+      f.payloads.insert(f.payloads.end(), alt.payloads.begin() + m,
+                        alt.payloads.end());
+      check(f, "records [0," + std::to_string(k) + ") + [" +
+                   std::to_string(m) + ",end)");
+    }
+  }
+  EXPECT_GT(inputs, 1000);
+  // Most damage must be caught, not silently absorbed.
+  EXPECT_LT(decoded, inputs / 2) << decoded << " of " << inputs;
+}
+
+IncrementalState StateForFuzz(uint64_t seed, double epsilon) {
+  const ExpressionMatrix data = RandomMatrix(seed, 7, 6);
+  MinerOptions o;
+  o.min_genes = 2;
+  o.min_conditions = 2;
+  o.gamma = 0.1;
+  o.epsilon = epsilon;
+  auto result = MineInitial(data, o);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result->state;
+}
+
+Checkpoint MineCheckpointForFuzz(const IncrementalState& state, size_t keep) {
+  Checkpoint ckpt;
+  ckpt.generation = 5;
+  ckpt.kind = CheckpointKind::kMine;
+  ckpt.mine.ledger = state;
+  ckpt.mine.ledger.roots.resize(keep);
+  ckpt.mine.nodes_visited = 321;
+  ckpt.mine.wall_seconds = 0.5;
+  ckpt.mine.mine_seconds = 0.25;
+  ckpt.mine.peak_scratch_bytes = 4096;
+  return ckpt;
+}
+
+Checkpoint SweepCheckpointForFuzz(const IncrementalState& state) {
+  Checkpoint ckpt;
+  ckpt.generation = 9;
+  ckpt.kind = CheckpointKind::kSweep;
+  SweepCheckpoint& s = ckpt.sweep;
+  s.grid_hash = 0xFEEDFACE12345678ull;
+  s.matrix_hash = state.matrix_hash;
+  s.num_genes = state.num_genes;
+  s.num_conditions = state.num_conditions;
+  s.first_unfinished = 2;
+  s.runs_total = 3;
+  s.index_builds = 1;
+  s.wall_seconds = 1.5;
+  SweepRunSnapshot ok_run;
+  ok_run.index = 0;
+  ok_run.executed = true;
+  ok_run.used_shared_model = true;
+  ok_run.stats = state.roots[0].stats;
+  ok_run.outcome.status = core::MineStatus::kTruncated;
+  ok_run.outcome.stop_reason = util::StopReason::kNodeBudget;
+  ok_run.outcome.roots_completed = 1;
+  ok_run.outcome.roots_total = 6;
+  ok_run.outcome.resume.next_root = 1;
+  ok_run.clusters = state.roots[0].clusters;
+  SweepRunSnapshot failed_run;
+  failed_run.index = 1;
+  failed_run.status = util::Status::InvalidArgument("gamma out of range");
+  s.runs = {ok_run, failed_run};
+  return ckpt;
+}
+
+TEST(RootLedgerFuzz, ReframedLedgerStateMutationsFailOrRoundTrip) {
+  const IncrementalState a = StateForFuzz(4242, 0.3);
+  const IncrementalState b = StateForFuzz(4343, 0.5);
+  ASSERT_FALSE(a.Output().empty());
+  const Format fmt{"RGCXINC1", 16, RoundTripState};
+  MutateAll(fmt, EncodeIncrementalState(a), EncodeIncrementalState(b), 11);
+}
+
+TEST(RootLedgerFuzz, ReframedMineCheckpointMutationsFailOrRoundTrip) {
+  const IncrementalState a = StateForFuzz(4242, 0.3);
+  const IncrementalState b = StateForFuzz(4343, 0.5);
+  const Format fmt{"RGCXCKP1 mine", 28, RoundTripCheckpoint};
+  MutateAll(fmt, EncodeCheckpoint(MineCheckpointForFuzz(a, 4)),
+            EncodeCheckpoint(MineCheckpointForFuzz(b, 2)), 12);
+}
+
+TEST(RootLedgerFuzz, ReframedSweepCheckpointMutationsFailOrRoundTrip) {
+  const IncrementalState a = StateForFuzz(4242, 0.3);
+  const IncrementalState b = StateForFuzz(4343, 0.5);
+  const Format fmt{"RGCXCKP1 sweep", 28, RoundTripCheckpoint};
+  MutateAll(fmt, EncodeCheckpoint(SweepCheckpointForFuzz(a)),
+            EncodeCheckpoint(SweepCheckpointForFuzz(b)), 13);
 }
 
 }  // namespace

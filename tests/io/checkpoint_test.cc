@@ -69,38 +69,47 @@ core::RegCluster MakeCluster(int seed) {
   return c;
 }
 
+// A ledger over roots [0, covered) of a 120x12 matrix, each root with
+// distinct counters and clusters.
+RootLedger LedgerFixture(int covered) {
+  RootLedger l;
+  l.semantic_options_hash = 0x1234567890ABCDEFull;
+  l.matrix_hash = {0xDEAD, 0xBEEF};
+  l.num_genes = 120;
+  l.num_conditions = 12;
+  l.flags = kLedgerFlagRemoveDominated;
+  for (int r = 0; r < covered; ++r) {
+    core::RootMineResult slice;
+    slice.root = r;
+    core::MinerStats& s = slice.stats;
+    s.nodes_expanded = 1111 + r;
+    s.extensions_tested = 2222 + r;
+    s.pruned_min_genes = 33 + r;
+    s.pruned_p_majority = 44 + r;
+    s.pruned_duplicate = 55 + r;
+    s.pruned_coherence = 66 + r;
+    s.genes_dropped_min_conds = 77 + r;
+    s.clusters_emitted = r % 3;
+    s.index_word_ops = 1010 + r;
+    s.coherence_divide_calls = 2020 + r;
+    s.coherence_scores = 3030 + r;
+    s.dedup_probes = 4040 + r;
+    for (int k = 0; k < r % 3; ++k) slice.clusters.push_back(MakeCluster(r + k));
+    l.roots.push_back(std::move(slice));
+  }
+  return l;
+}
+
 Checkpoint MineFixture() {
   Checkpoint ckpt;
   ckpt.generation = 42;
   ckpt.kind = CheckpointKind::kMine;
   MineCheckpoint& m = ckpt.mine;
-  m.semantic_options_hash = 0x1234567890ABCDEFull;
-  m.matrix_hash = {0xDEAD, 0xBEEF};
-  m.num_genes = 120;
-  m.num_conditions = 12;
-  m.flags = kCheckpointFlagRemoveDominated;
-  m.next_root = 7;
-  m.roots_completed = 6;
+  m.ledger = LedgerFixture(7);
   m.nodes_visited = 99999;
   m.wall_seconds = 1.25;
+  m.mine_seconds = 1.5;
   m.peak_scratch_bytes = 1 << 20;
-  m.stats.nodes_expanded = 1111;
-  m.stats.extensions_tested = 2222;
-  m.stats.pruned_min_genes = 33;
-  m.stats.pruned_p_majority = 44;
-  m.stats.pruned_duplicate = 55;
-  m.stats.pruned_coherence = 66;
-  m.stats.genes_dropped_min_conds = 77;
-  m.stats.clusters_emitted = 88;
-  m.stats.index_builds = 1;
-  m.stats.index_word_ops = 1010;
-  m.stats.coherence_divide_calls = 2020;
-  m.stats.coherence_scores = 3030;
-  m.stats.dedup_probes = 4040;
-  m.stats.rwave_build_seconds = 0.5;
-  m.stats.index_build_seconds = 0.25;
-  m.stats.mine_seconds = 2.5;
-  m.clusters = {MakeCluster(1), MakeCluster(5)};
   return ckpt;
 }
 
@@ -150,38 +159,44 @@ TEST(CheckpointWireTest, MineRoundTripPreservesEveryField) {
   EXPECT_EQ(got->kind, CheckpointKind::kMine);
   const MineCheckpoint& m = got->mine;
   const MineCheckpoint& w = want.mine;
-  EXPECT_EQ(m.semantic_options_hash, w.semantic_options_hash);
-  EXPECT_EQ(m.matrix_hash, w.matrix_hash);
-  EXPECT_EQ(m.num_genes, w.num_genes);
-  EXPECT_EQ(m.num_conditions, w.num_conditions);
-  EXPECT_EQ(m.flags, w.flags);
-  EXPECT_EQ(m.next_root, w.next_root);
-  EXPECT_EQ(m.roots_completed, w.roots_completed);
+  EXPECT_EQ(m.ledger.semantic_options_hash, w.ledger.semantic_options_hash);
+  EXPECT_EQ(m.ledger.matrix_hash, w.ledger.matrix_hash);
+  EXPECT_EQ(m.ledger.num_genes, w.ledger.num_genes);
+  EXPECT_EQ(m.ledger.num_conditions, w.ledger.num_conditions);
+  EXPECT_EQ(m.ledger.flags, w.ledger.flags);
+  EXPECT_EQ(m.ledger.next_root(), 7);
   EXPECT_EQ(m.nodes_visited, w.nodes_visited);
   EXPECT_EQ(m.wall_seconds, w.wall_seconds);
+  EXPECT_EQ(m.mine_seconds, w.mine_seconds);
   EXPECT_EQ(m.peak_scratch_bytes, w.peak_scratch_bytes);
-  EXPECT_EQ(m.stats.nodes_expanded, w.stats.nodes_expanded);
-  EXPECT_EQ(m.stats.extensions_tested, w.stats.extensions_tested);
-  EXPECT_EQ(m.stats.pruned_min_genes, w.stats.pruned_min_genes);
-  EXPECT_EQ(m.stats.pruned_p_majority, w.stats.pruned_p_majority);
-  EXPECT_EQ(m.stats.pruned_duplicate, w.stats.pruned_duplicate);
-  EXPECT_EQ(m.stats.pruned_coherence, w.stats.pruned_coherence);
-  EXPECT_EQ(m.stats.genes_dropped_min_conds,
-            w.stats.genes_dropped_min_conds);
-  EXPECT_EQ(m.stats.clusters_emitted, w.stats.clusters_emitted);
-  EXPECT_EQ(m.stats.index_builds, w.stats.index_builds);
-  EXPECT_EQ(m.stats.index_word_ops, w.stats.index_word_ops);
-  EXPECT_EQ(m.stats.coherence_divide_calls, w.stats.coherence_divide_calls);
-  EXPECT_EQ(m.stats.coherence_scores, w.stats.coherence_scores);
-  EXPECT_EQ(m.stats.dedup_probes, w.stats.dedup_probes);
-  EXPECT_EQ(m.stats.rwave_build_seconds, w.stats.rwave_build_seconds);
-  EXPECT_EQ(m.stats.index_build_seconds, w.stats.index_build_seconds);
-  EXPECT_EQ(m.stats.mine_seconds, w.stats.mine_seconds);
-  ASSERT_EQ(m.clusters.size(), w.clusters.size());
-  for (size_t i = 0; i < w.clusters.size(); ++i) {
-    EXPECT_EQ(m.clusters[i], w.clusters[i]) << "cluster " << i;
+  ASSERT_EQ(m.ledger.roots.size(), w.ledger.roots.size());
+  for (size_t r = 0; r < w.ledger.roots.size(); ++r) {
+    const core::RootMineResult& a = m.ledger.roots[r];
+    const core::RootMineResult& b = w.ledger.roots[r];
+    EXPECT_EQ(a.root, b.root);
+    EXPECT_EQ(a.stats.nodes_expanded, b.stats.nodes_expanded);
+    EXPECT_EQ(a.stats.extensions_tested, b.stats.extensions_tested);
+    EXPECT_EQ(a.stats.pruned_min_genes, b.stats.pruned_min_genes);
+    EXPECT_EQ(a.stats.pruned_p_majority, b.stats.pruned_p_majority);
+    EXPECT_EQ(a.stats.pruned_duplicate, b.stats.pruned_duplicate);
+    EXPECT_EQ(a.stats.pruned_coherence, b.stats.pruned_coherence);
+    EXPECT_EQ(a.stats.genes_dropped_min_conds,
+              b.stats.genes_dropped_min_conds);
+    EXPECT_EQ(a.stats.clusters_emitted, b.stats.clusters_emitted);
+    EXPECT_EQ(a.stats.index_word_ops, b.stats.index_word_ops);
+    EXPECT_EQ(a.stats.coherence_divide_calls, b.stats.coherence_divide_calls);
+    EXPECT_EQ(a.stats.coherence_scores, b.stats.coherence_scores);
+    EXPECT_EQ(a.stats.dedup_probes, b.stats.dedup_probes);
+    ASSERT_EQ(a.clusters.size(), b.clusters.size()) << "root " << r;
+    for (size_t i = 0; i < b.clusters.size(); ++i) {
+      EXPECT_EQ(a.clusters[i], b.clusters[i]) << "root " << r << " cluster "
+                                              << i;
+    }
   }
   EXPECT_FALSE(m.complete());
+  // The summed view is what a resumed run charges its budgets against.
+  EXPECT_EQ(m.ledger.SummedStats().nodes_expanded,
+            w.ledger.SummedStats().nodes_expanded);
 }
 
 TEST(CheckpointWireTest, SweepRoundTripPreservesRunsAndStatuses) {
@@ -247,6 +262,18 @@ TEST(CheckpointCorruptionTest, UnsupportedVersion) {
   ExpectCorruption(bytes, "unsupported checkpoint version 99");
 }
 
+TEST(CheckpointCorruptionTest, VersionOneAsksForARestart) {
+  // Version 1 stored a cluster prefix instead of the root ledger; it is a
+  // named precondition failure, not corruption.
+  std::string bytes = EncodeCheckpoint(MineFixture());
+  bytes[8] = 1;
+  auto got = DecodeCheckpoint(bytes);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_THAT(got.status().message(), HasSubstr("version 1"));
+  EXPECT_THAT(got.status().message(), HasSubstr("delete the snapshot"));
+}
+
 TEST(CheckpointCorruptionTest, EndiannessMismatch) {
   std::string bytes = EncodeCheckpoint(MineFixture());
   std::swap(bytes[12], bytes[15]);  // byte-swap the endian tag
@@ -289,6 +316,25 @@ TEST(CheckpointCorruptionTest, TrailingBytesAfterFooter) {
   ExpectCorruption(bytes, "trailing bytes after checkpoint footer");
 }
 
+// CRC-valid sweep snapshots whose run records contradict the aggregate:
+// resuming them would double-count a point or leave one unmined.
+TEST(CheckpointCorruptionTest, SweepRunRecordsOutOfOrder) {
+  Checkpoint ckpt = SweepFixture();
+  ckpt.sweep.runs[1] = ckpt.sweep.runs[0];  // point 0 twice
+  ExpectCorruption(EncodeCheckpoint(ckpt), "sweep run records out of order");
+}
+
+TEST(CheckpointCorruptionTest, SweepRunCountDisagreesWithProgress) {
+  Checkpoint ckpt = SweepFixture();  // first_unfinished = 2
+  ckpt.sweep.runs.pop_back();
+  ExpectCorruption(EncodeCheckpoint(ckpt),
+                   "sweep run count disagrees with first_unfinished");
+  Checkpoint complete = SweepFixture();
+  complete.sweep.first_unfinished = -1;  // complete needs all 4 points
+  ExpectCorruption(EncodeCheckpoint(complete),
+                   "sweep run count disagrees with first_unfinished");
+}
+
 TEST(CheckpointCorruptionTest, EveryTruncationPointIsRejected) {
   // A torn write can stop at any byte; no prefix may decode.
   const std::string bytes = EncodeCheckpoint(SweepFixture());
@@ -328,13 +374,13 @@ TEST(LoadCheckpointTest, PicksNewestValidBuffer) {
   older.generation = 4;
   Checkpoint newer = MineFixture();
   newer.generation = 5;
-  newer.mine.next_root = 9;
+  newer.mine.ledger = LedgerFixture(9);
   ASSERT_TRUE(WriteCheckpointFile(base, older).ok());  // -> base.a
   ASSERT_TRUE(WriteCheckpointFile(base, newer).ok());  // -> base.b
   auto got = LoadCheckpoint(base);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->generation, 5u);
-  EXPECT_EQ(got->mine.next_root, 9);
+  EXPECT_EQ(got->mine.ledger.next_root(), 9);
 }
 
 TEST(LoadCheckpointTest, FallsBackWhenNewestBufferIsTorn) {
@@ -425,17 +471,14 @@ TEST(CheckpointHashTest, SweepGridHashIsOrderSensitive) {
 
 class CheckpointValidateTest : public ::testing::Test {
  protected:
-  CheckpointValidateTest() : data_(TestMatrix()), options_(TestOptions()) {
-    ckpt_.semantic_options_hash =
-        core::RegClusterMiner::SemanticOptionsHash(options_);
-    ckpt_.matrix_hash = HashMatrixContent(data_);
-    ckpt_.num_genes = data_.num_genes();
-    ckpt_.num_conditions = data_.num_conditions();
-    ckpt_.flags = 0;
-  }
+  CheckpointValidateTest()
+      : data_(TestMatrix()),
+        options_(TestOptions()),
+        ledger_(NewLedger(data_, options_)) {}
 
-  void ExpectRejected(const MineCheckpoint& ckpt, const std::string& substr) {
-    util::Status st = ValidateMineCheckpoint(ckpt, data_, options_);
+  void ExpectRejected(const RootLedger& ledger, const std::string& substr) {
+    util::Status st =
+        CheckLedgerIdentity(ledger, data_, data_.num_conditions(), options_);
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.code(), util::StatusCode::kFailedPrecondition);
     EXPECT_THAT(st.message(), HasSubstr(substr));
@@ -443,33 +486,35 @@ class CheckpointValidateTest : public ::testing::Test {
 
   matrix::ExpressionMatrix data_;
   core::MinerOptions options_;  // remove_dominated defaults to false
-  MineCheckpoint ckpt_;
+  RootLedger ledger_;
 };
 
 TEST_F(CheckpointValidateTest, MatchingCheckpointPasses) {
-  EXPECT_TRUE(ValidateMineCheckpoint(ckpt_, data_, options_).ok());
+  EXPECT_TRUE(
+      CheckLedgerIdentity(ledger_, data_, data_.num_conditions(), options_)
+          .ok());
 }
 
 TEST_F(CheckpointValidateTest, DominanceFlagMismatch) {
-  MineCheckpoint bad = ckpt_;
-  bad.flags = kCheckpointFlagRemoveDominated;
+  RootLedger bad = ledger_;
+  bad.flags = kLedgerFlagRemoveDominated;
   ExpectRejected(bad, "dominance-pass setting differs");
 }
 
 TEST_F(CheckpointValidateTest, OptionsHashMismatch) {
-  MineCheckpoint bad = ckpt_;
+  RootLedger bad = ledger_;
   bad.semantic_options_hash ^= 1;
   ExpectRejected(bad, "different mining options");
 }
 
 TEST_F(CheckpointValidateTest, DimensionMismatch) {
-  MineCheckpoint bad = ckpt_;
+  RootLedger bad = ledger_;
   bad.num_genes += 1;
   ExpectRejected(bad, "matrix dimensions differ");
 }
 
 TEST_F(CheckpointValidateTest, MatrixContentMismatch) {
-  MineCheckpoint bad = ckpt_;
+  RootLedger bad = ledger_;
   bad.matrix_hash.lo ^= 1;
   ExpectRejected(bad, "different matrix");
 }
@@ -608,7 +653,7 @@ TEST(RunCheckpointedMineTest, FreshRunMatchesPlainMineAndSnapshotsComplete) {
   auto final_ckpt = LoadCheckpoint(config.path);
   ASSERT_TRUE(final_ckpt.ok()) << final_ckpt.status().ToString();
   EXPECT_TRUE(final_ckpt->mine.complete());
-  ExpectSameClusters(final_ckpt->mine.clusters, want.clusters);
+  ExpectSameClusters(final_ckpt->mine.ledger.Output(), want.clusters);
 }
 
 TEST(RunCheckpointedMineTest, ResumeFromMidRunSnapshotIsByteIdentical) {
@@ -636,7 +681,7 @@ TEST(RunCheckpointedMineTest, ResumeFromMidRunSnapshotIsByteIdentical) {
   auto midrun = LoadCheckpoint(other);
   ASSERT_TRUE(midrun.ok()) << midrun.status().ToString();
   ASSERT_FALSE(midrun->mine.complete());
-  ASSERT_GT(midrun->mine.next_root, 0);
+  ASSERT_GT(midrun->mine.ledger.next_root(), 0);
 
   CheckpointConfig resume_config;  // no snapshot writing on the resume leg
   resume_config.next_generation = midrun->generation + 1;
@@ -685,13 +730,45 @@ TEST(RunCheckpointedMineTest, RemoveDominatedAppliesOnceAtCompletion) {
   ASSERT_TRUE(got.ok());
   ExpectSameClusters(got->clusters, want.clusters);
 
-  // The snapshot stores the *raw* prefix (flagged), so a resumed run can
+  // The snapshot stores the *raw* slices (flagged), so a resumed run can
   // re-apply the global pass on the full output.
   auto final_ckpt = LoadCheckpoint(config.path);
   ASSERT_TRUE(final_ckpt.ok());
-  EXPECT_EQ(final_ckpt->mine.flags & kCheckpointFlagRemoveDominated,
-            kCheckpointFlagRemoveDominated);
-  EXPECT_GE(final_ckpt->mine.clusters.size(), got->clusters.size());
+  EXPECT_EQ(final_ckpt->mine.ledger.flags & kLedgerFlagRemoveDominated,
+            kLedgerFlagRemoveDominated);
+  EXPECT_GE(final_ckpt->mine.ledger.SummedStats().clusters_emitted,
+            static_cast<int64_t>(got->clusters.size()));
+  ExpectSameClusters(final_ckpt->mine.ledger.Output(), want.clusters);
+}
+
+TEST(RunCheckpointedMineTest, ProfilePhasesReportsPhaseTimings) {
+  const matrix::ExpressionMatrix data = TestMatrix();
+  core::MinerOptions options = TestOptions();
+  options.profile_phases = true;
+  const PlainMineResult want = PlainMine(data, options);
+
+  CheckpointConfig config;
+  config.initial_chunk_nodes = 64;
+  auto got = RunCheckpointedMine(data, options, config, nullptr);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectSameDeterministicStats(got->stats, want.stats);
+  EXPECT_EQ(got->stats.filter_ns > 0, want.stats.filter_ns > 0);
+  EXPECT_EQ(got->stats.score_ns > 0, want.stats.score_ns > 0);
+  EXPECT_EQ(got->stats.sort_ns > 0, want.stats.sort_ns > 0);
+  EXPECT_EQ(got->stats.emit_ns > 0, want.stats.emit_ns > 0);
+  EXPECT_GT(want.stats.filter_ns, 0);
+  EXPECT_GT(want.stats.sort_ns, 0);
+}
+
+TEST(RunCheckpointedMineTest, RejectsRootSet) {
+  // The ledger covers roots 0, 1, ... in order; a root subset has no
+  // place in it.
+  core::MinerOptions options = TestOptions();
+  options.root_set = {1, 3};
+  auto got = RunCheckpointedMine(TestMatrix(), options, CheckpointConfig{},
+                                 nullptr);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(RunCheckpointedMineTest, RejectsSnapshotFromDifferentOptions) {
