@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "core/coherence.h"
+#include "core/options.h"
 #include "obs/metrics.h"
 #include "util/bitset.h"
 #include "util/simd/radix_sort.h"
@@ -498,26 +499,7 @@ util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Mine() {
 }
 
 util::Status RegClusterMiner::Prepare() {
-  if (options_.min_genes < 1) {
-    return util::Status::InvalidArgument("MinG must be >= 1");
-  }
-  if (options_.min_conditions < 2) {
-    return util::Status::InvalidArgument(
-        "MinC must be >= 2 (a chain needs at least one regulation step)");
-  }
-  const bool relative_gamma =
-      options_.gamma_policy != GammaPolicy::kAbsolute;
-  if (options_.gamma < 0.0 || (relative_gamma && options_.gamma > 1.0)) {
-    return util::Status::InvalidArgument(
-        relative_gamma ? "gamma must be in [0, 1] for relative policies"
-                       : "absolute gamma must be >= 0");
-  }
-  if (options_.epsilon < 0.0) {
-    return util::Status::InvalidArgument("epsilon must be >= 0");
-  }
-  if (options_.num_threads < 0) {
-    return util::Status::InvalidArgument("num_threads must be >= 0");
-  }
+  if (util::Status s = ValidateMinerOptions(options_); !s.ok()) return s;
   if (data_.HasMissingValues()) {
     return util::Status::FailedPrecondition(
         "matrix contains missing values; impute first "
@@ -535,9 +517,6 @@ util::Status RegClusterMiner::Prepare() {
   }
   if (options_.budget_check_interval < 1) {
     return util::Status::InvalidArgument("budget_check_interval must be >= 1");
-  }
-  if (options_.model_cache_shards < 1) {
-    return util::Status::InvalidArgument("model_cache_shards must be >= 1");
   }
   if (options_.resume.can_resume()) {
     if (options_.resume.options_hash != SemanticOptionsHash(options_)) {
@@ -943,26 +922,6 @@ util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Finalize() {
   }
   run_.reset();
   return out;
-}
-
-uint64_t RegClusterMiner::SemanticOptionsHash(const MinerOptions& options) {
-  util::Fnv128 h;
-  h.MixInt(options.min_genes).MixInt(options.min_conditions);
-  h.Mix64(std::bit_cast<uint64_t>(options.gamma));
-  h.MixInt(static_cast<int>(options.gamma_policy));
-  h.Mix64(std::bit_cast<uint64_t>(options.epsilon));
-  h.MixInt(options.prune_min_genes ? 1 : 0);
-  h.MixInt(options.prune_min_conds ? 1 : 0);
-  h.MixInt(options.prune_p_majority ? 1 : 0);
-  h.MixInt(options.prune_duplicates ? 1 : 0);
-  h.MixInt(options.remove_dominated ? 1 : 0);
-  h.MixInt(options.closed_chains_only ? 1 : 0);
-  h.MixInt(-1);  // domain separators around the variable-length lists
-  for (int g : options.required_genes) h.MixInt(g);
-  h.MixInt(-1);
-  for (int c : options.allowed_conditions) h.MixInt(c);
-  h.MixInt(-1);
-  return h.Digest().lo;
 }
 
 bool RegClusterMiner::HasAllRequired(const MemberCols& p, const MemberCols& n,

@@ -196,7 +196,10 @@ struct SharedGammaModel {
   size_t MemoryBytes() const;
 };
 
-/// Mining parameters (paper notation in comments).
+/// Mining parameters (paper notation in comments).  The member initializers
+/// are the library and test defaults; the CLI and daemon start from
+/// core::FrontEndDefaults instead, and every field is a row of the options
+/// table in core/options.h (or listed there as execution-only).
 struct MinerOptions {
   /// MinG: minimum number of genes (p-members + n-members) per cluster.
   int min_genes = 2;
@@ -467,10 +470,10 @@ class RegClusterMiner {
     return root_results_;
   }
 
-  /// Fingerprint of the options fields that define *what* is mined (MinG,
-  /// MinC, gamma, epsilon, prunings, targeting, ...), excluding execution
-  /// knobs (threads, budgets, profiling, resume).  Two runs with equal
-  /// hashes produce outputs that can be spliced via ResumeToken.
+  /// Fingerprint of the options fields that define *what* is mined: the
+  /// semantic rows of the options table (core/options.h), excluding
+  /// execution knobs (threads, budgets, profiling, resume).  Two runs with
+  /// equal hashes produce outputs that can be spliced via ResumeToken.
   static uint64_t SemanticOptionsHash(const MinerOptions& options);
 
  private:

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/options.h"
 #include "core/threshold.h"
 #include "util/task_pool.h"
 #include "util/timer.h"
@@ -27,17 +28,6 @@ using GammaKey = std::pair<int, uint64_t>;
 GammaKey KeyOf(const MinerOptions& opts) {
   return {static_cast<int>(opts.gamma_policy),
           std::bit_cast<uint64_t>(opts.gamma)};
-}
-
-// Mirrors the miner's own gamma validation.  Points failing this are left to
-// Prepare() to reject (recorded per-run); they must not join a group, since
-// SharedGammaModel::Build asserts a valid spec.
-bool GammaLooksValid(const MinerOptions& opts) {
-  if (opts.gamma < 0.0) return false;
-  if (opts.gamma_policy != GammaPolicy::kAbsolute && opts.gamma > 1.0) {
-    return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -82,7 +72,11 @@ util::StatusOr<SweepReport> SweepEngine::Run(
     report.runs[i].options = points[i];
     // The engine owns scheduling; a run must never spin up its own pool.
     report.runs[i].options.num_threads = 1;
-    if (!options_.share_models || !GammaLooksValid(points[i])) continue;
+    // A point failing validation never joins a group (Prepare() records its
+    // rejection per run); SharedGammaModel::Build asserts a valid spec.
+    if (!options_.share_models || !ValidateMinerOptions(points[i]).ok()) {
+      continue;
+    }
     auto [it, inserted] = group_of.try_emplace(KeyOf(points[i]), groups.size());
     if (inserted) {
       groups.push_back(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -10,37 +11,33 @@
 namespace regcluster {
 namespace core {
 
+namespace {
+// Indexed by GammaPolicy.
+constexpr const char* kPolicyNames[] = {"range", "stddev", "mean",
+                                        "closest-gap", "absolute"};
+}  // namespace
+
 const char* GammaPolicyName(GammaPolicy policy) {
-  switch (policy) {
-    case GammaPolicy::kRangeFraction:
-      return "range";
-    case GammaPolicy::kStdDevFraction:
-      return "stddev";
-    case GammaPolicy::kMeanFraction:
-      return "mean";
-    case GammaPolicy::kClosestGapFraction:
-      return "closest-gap";
-    case GammaPolicy::kAbsolute:
-      return "absolute";
-  }
-  return "?";
+  const auto i = static_cast<size_t>(policy);
+  return i < std::size(kPolicyNames) ? kPolicyNames[i] : "?";
 }
 
 bool ParseGammaPolicy(const std::string& name, GammaPolicy* policy) {
-  if (name == "range") {
-    *policy = GammaPolicy::kRangeFraction;
-  } else if (name == "stddev") {
-    *policy = GammaPolicy::kStdDevFraction;
-  } else if (name == "mean") {
-    *policy = GammaPolicy::kMeanFraction;
-  } else if (name == "closest-gap") {
-    *policy = GammaPolicy::kClosestGapFraction;
-  } else if (name == "absolute") {
-    *policy = GammaPolicy::kAbsolute;
-  } else {
-    return false;
+  for (size_t i = 0; i < std::size(kPolicyNames); ++i) {
+    if (name == kPolicyNames[i]) {
+      *policy = static_cast<GammaPolicy>(i);
+      return true;
+    }
   }
-  return true;
+  return false;
+}
+
+std::string GammaPolicyNames() {
+  std::string names;
+  for (const char* name : kPolicyNames) {
+    names += names.empty() ? name : std::string("|") + name;
+  }
+  return names;
 }
 
 double AbsoluteGamma(const matrix::MatrixStore& data, int gene,

@@ -12,6 +12,8 @@
 #ifndef REGCLUSTER_CORE_THRESHOLD_H_
 #define REGCLUSTER_CORE_THRESHOLD_H_
 
+#include <string>
+
 #include "matrix/store.h"
 
 namespace regcluster {
@@ -40,6 +42,9 @@ const char* GammaPolicyName(GammaPolicy policy);
 
 /// Parses the names accepted by GammaPolicyName; returns false on unknown.
 bool ParseGammaPolicy(const std::string& name, GammaPolicy* policy);
+
+/// Every policy name, '|'-separated in enum order ("range|stddev|...").
+std::string GammaPolicyNames();
 
 /// A policy plus its scale parameter.
 struct GammaSpec {

@@ -5,6 +5,7 @@
 #include <limits>
 #include <utility>
 
+#include "core/options.h"
 #include "core/threshold.h"
 #include "util/durable_file.h"
 #include "util/simd/dispatch.h"
@@ -523,10 +524,8 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
   // rebuild it per chunk).  Resident or out-of-core per the user's knobs.
   if (model == nullptr) {
     const core::GammaSpec spec{options.gamma_policy, options.gamma};
-    if (options.gamma < 0.0 ||
-        (options.gamma_policy != core::GammaPolicy::kAbsolute &&
-         options.gamma > 1.0)) {
-      // Leave gamma validation to Mine(): run one chunk without a model and
+    if (!core::ValidateMinerOptions(options).ok()) {
+      // Leave validation to Mine(): run one chunk without a model and
       // surface its error verbatim.
     } else if (options.model_cache_bytes >= 0) {
       model = core::SharedGammaModel::BuildOutOfCore(

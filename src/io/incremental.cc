@@ -4,6 +4,7 @@
 #include <numeric>
 #include <utility>
 
+#include "core/options.h"
 #include "core/threshold.h"
 #include "util/bitset.h"
 #include "util/durable_file.h"
@@ -22,6 +23,8 @@ constexpr const char* kNoun = "incremental-state";
 /// The execution shapes root-granular splicing cannot reproduce.  Each is a
 /// distinct InvalidArgument so callers learn which knob to drop.
 util::Status ValidateIncrementalOptions(const core::MinerOptions& o) {
+  // Before any model build: a model is never built for invalid options.
+  REGCLUSTER_RETURN_IF_ERROR(core::ValidateMinerOptions(o));
   if (o.max_nodes >= 0 || o.max_clusters >= 0) {
     return util::Status::InvalidArgument(
         "incremental mining cannot use node/cluster budgets: a truncated "

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/options.h"
 #include "core/threshold.h"
 #include "io/json_export.h"
 #include "io/metrics_export.h"
@@ -21,42 +22,31 @@ namespace {
 using util::Status;
 using util::StatusOr;
 
-// One sweep axis: which option it overrides plus its expanded values.
-enum class Axis { kGamma, kEps, kMinG, kMinC };
-
-StatusOr<Axis> ParseAxisName(std::string_view name) {
-  if (name == "gamma") return Axis::kGamma;
-  if (name == "eps" || name == "epsilon") return Axis::kEps;
-  if (name == "ming") return Axis::kMinG;
-  if (name == "minc") return Axis::kMinC;
+// A sweep axis is an options-table row with an axis name; the row's JSON
+// key names it too (so "epsilon" is accepted for "eps").
+StatusOr<const core::OptionField*> FindAxis(std::string_view name) {
+  std::string names;
+  for (const core::OptionField& field : core::OptionFields()) {
+    if (field.axis == nullptr) continue;
+    if (name == field.axis || name == field.json_key) return &field;
+    names += names.empty() ? field.axis : std::string("|") + field.axis;
+  }
   return Status::InvalidArgument(util::StrFormat(
-      "unknown sweep axis '%.*s' (want gamma|eps|ming|minc)",
-      static_cast<int>(name.size()), name.data()));
+      "unknown sweep axis '%.*s' (want %s)", static_cast<int>(name.size()),
+      name.data(), names.c_str()));
 }
 
-bool IsIntAxis(Axis axis) { return axis == Axis::kMinG || axis == Axis::kMinC; }
+Status ApplyAxis(const core::OptionField& axis, double value,
+                 core::MinerOptions* opts) {
+  Status s = core::SetOption(axis, core::OptionValue::Number(value), opts);
+  if (s.ok()) return s;
+  return Status::InvalidArgument(util::StrFormat(
+      "sweep axis %s %s, got %g", axis.axis, s.message().c_str(), value));
+}
 
-Status ApplyAxis(Axis axis, double value, core::MinerOptions* opts) {
-  if (IsIntAxis(axis)) {
-    const double rounded = std::round(value);
-    if (std::abs(value - rounded) > 1e-9) {
-      return Status::InvalidArgument(util::StrFormat(
-          "%s must be an integer, got %g",
-          axis == Axis::kMinG ? "ming" : "minc", value));
-    }
-    if (axis == Axis::kMinG) {
-      opts->min_genes = static_cast<int>(rounded);
-    } else {
-      opts->min_conditions = static_cast<int>(rounded);
-    }
-    return Status::OK();
-  }
-  if (axis == Axis::kGamma) {
-    opts->gamma = value;
-  } else {
-    opts->epsilon = value;
-  }
-  return Status::OK();
+Status TooManyPoints(double count, size_t max_points) {
+  return Status::InvalidArgument(util::StrFormat(
+      "sweep expands to at least %.0f points (limit %zu)", count, max_points));
 }
 
 /// Expands "lo:hi:step" / "v;v;v" / "v" into a value list.
@@ -77,7 +67,8 @@ StatusOr<double> ParseAxisNumber(std::string_view axis_name,
 }
 
 StatusOr<std::vector<double>> ExpandValues(std::string_view axis_name,
-                                           std::string_view text) {
+                                           std::string_view text,
+                                           size_t max_points) {
   std::vector<double> values;
   const std::vector<std::string> range_parts =
       util::Split(std::string(text), ':');
@@ -102,9 +93,13 @@ StatusOr<std::vector<double>> ExpandValues(std::string_view axis_name,
                           axis_name.data()));
     }
     // Inclusive endpoints with an epsilon so 0.1:0.5:0.1 hits 0.5 despite
-    // binary rounding.
-    const int count = static_cast<int>(std::floor((*hi - *lo) / *step + 1e-9));
-    for (int k = 0; k <= count; ++k) values.push_back(*lo + k * *step);
+    // binary rounding.  Counted before anything is expanded: a tiny step
+    // must not allocate its way to the limit.
+    const double count = std::floor((*hi - *lo) / *step + 1e-9) + 1;
+    if (!(count <= static_cast<double>(max_points))) {
+      return TooManyPoints(count, max_points);
+    }
+    for (double k = 0; k < count; ++k) values.push_back(*lo + k * *step);
     return values;
   }
   if (range_parts.size() != 1) {
@@ -121,8 +116,9 @@ StatusOr<std::vector<double>> ExpandValues(std::string_view axis_name,
 }
 
 StatusOr<std::vector<core::MinerOptions>> ParseAxesSpec(
-    std::string_view spec, const core::MinerOptions& base) {
-  std::vector<std::pair<Axis, std::vector<double>>> axes;
+    std::string_view spec, const core::MinerOptions& base, size_t max_points) {
+  std::vector<std::pair<const core::OptionField*, std::vector<double>>> axes;
+  double total = 1;  // at most four axes of <= max_points values: exact
   for (const std::string& field : util::Split(std::string(spec), ',')) {
     const std::string_view trimmed = util::Trim(field);
     const size_t eq = trimmed.find('=');
@@ -132,7 +128,7 @@ StatusOr<std::vector<core::MinerOptions>> ParseAxesSpec(
           static_cast<int>(trimmed.size()), trimmed.data()));
     }
     const std::string_view name = util::Trim(trimmed.substr(0, eq));
-    StatusOr<Axis> axis = ParseAxisName(name);
+    StatusOr<const core::OptionField*> axis = FindAxis(name);
     if (!axis.ok()) return axis.status();
     for (const auto& [prev, unused] : axes) {
       if (prev == *axis) {
@@ -142,12 +138,11 @@ StatusOr<std::vector<core::MinerOptions>> ParseAxesSpec(
       }
     }
     StatusOr<std::vector<double>> values =
-        ExpandValues(name, util::Trim(trimmed.substr(eq + 1)));
+        ExpandValues(name, util::Trim(trimmed.substr(eq + 1)), max_points);
     if (!values.ok()) return values.status();
-    if (values->empty()) {
-      return Status::InvalidArgument(util::StrFormat(
-          "sweep axis '%.*s' has no values", static_cast<int>(name.size()),
-          name.data()));
+    total *= static_cast<double>(values->size());
+    if (total > static_cast<double>(max_points)) {
+      return TooManyPoints(total, max_points);
     }
     axes.emplace_back(*axis, std::move(*values));
   }
@@ -163,7 +158,7 @@ StatusOr<std::vector<core::MinerOptions>> ParseAxesSpec(
     for (const core::MinerOptions& p : points) {
       for (double v : values) {
         core::MinerOptions q = p;
-        if (Status s = ApplyAxis(axis, v, &q); !s.ok()) return s;
+        if (Status s = ApplyAxis(*axis, v, &q); !s.ok()) return s;
         next.push_back(std::move(q));
       }
     }
@@ -180,7 +175,7 @@ class JsonSpecParser {
   explicit JsonSpecParser(std::string_view text) : text_(text) {}
 
   StatusOr<std::vector<core::MinerOptions>> Parse(
-      const core::MinerOptions& base) {
+      const core::MinerOptions& base, size_t max_points) {
     std::vector<core::MinerOptions> points;
     SkipSpace();
     if (!Consume('[')) return Error("expected '['");
@@ -190,6 +185,9 @@ class JsonSpecParser {
       return Status::InvalidArgument("sweep JSON list is empty");
     }
     while (true) {
+      if (points.size() == max_points) {
+        return TooManyPoints(static_cast<double>(max_points) + 1, max_points);
+      }
       StatusOr<core::MinerOptions> point = ParseObject(base);
       if (!point.ok()) return point.status();
       points.push_back(std::move(*point));
@@ -222,9 +220,9 @@ class JsonSpecParser {
       SkipSpace();
       StatusOr<double> value = ParseNumber();
       if (!value.ok()) return value.status();
-      StatusOr<Axis> axis = ParseAxisName(*key);
+      StatusOr<const core::OptionField*> axis = FindAxis(*key);
       if (!axis.ok()) return axis.status();
-      if (Status s = ApplyAxis(*axis, *value, &point); !s.ok()) return s;
+      if (Status s = ApplyAxis(**axis, *value, &point); !s.ok()) return s;
       SkipSpace();
       if (Consume(',')) continue;
       if (Consume('}')) return point;
@@ -296,13 +294,14 @@ const char* MineStatusName(core::MineStatus status) {
 }  // namespace
 
 StatusOr<std::vector<core::MinerOptions>> ParseSweepSpec(
-    const std::string& spec, const core::MinerOptions& base) {
+    const std::string& spec, const core::MinerOptions& base,
+    size_t max_points) {
   const std::string_view trimmed = util::Trim(spec);
   if (trimmed.empty()) return Status::InvalidArgument("empty sweep spec");
   if (trimmed.front() == '[') {
-    return JsonSpecParser(trimmed).Parse(base);
+    return JsonSpecParser(trimmed).Parse(base, max_points);
   }
-  return ParseAxesSpec(trimmed, base);
+  return ParseAxesSpec(trimmed, base, max_points);
 }
 
 Status WriteSweepJson(const core::SweepReport& report, std::ostream& out) {

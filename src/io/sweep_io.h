@@ -3,17 +3,18 @@
 // Spec grammar (--sweep):
 //   spec      := axes | json-list
 //   axes      := axis '=' values (',' axis '=' values)*
-//   axis      := 'gamma' | 'eps' | 'epsilon' | 'ming' | 'minc'
 //   values    := lo ':' hi ':' step      inclusive arithmetic range
 //              | v (';' v)*              explicit list
-//   json-list := '[' {"gamma": g, "eps": e, "ming": m, "minc": c}, ... ']'
+//   json-list := '[' {axis: number, ...}, ... ']'
 //
-// Axes form a cross product with later axes varying fastest, so
+// An axis is a row of the options table (core/options.h) with a sweep axis
+// name, spelled by that name or by the row's JSON key; each value is set
+// and range-checked through the row like any front-end value.  Axes form a
+// cross product with later axes varying fastest, so
 // "gamma=0.1;0.2,ming=20;30" yields (0.1,20) (0.1,30) (0.2,20) (0.2,30).
 // Every point starts from the caller's base MinerOptions (so flags like
-// --policy or --threads-independent toggles carry over) with only the listed
-// axes overridden.  JSON objects may set any subset of the four keys
-// ("epsilon" is accepted for "eps"); unknown keys are errors.
+// --gamma-policy carry over) with only the listed axes overridden.  JSON
+// objects may set any subset of the axes; unknown keys are errors.
 //
 // JSON report schema (stable):
 //   {
@@ -52,7 +53,9 @@
 #ifndef REGCLUSTER_IO_SWEEP_IO_H_
 #define REGCLUSTER_IO_SWEEP_IO_H_
 
+#include <cstddef>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -67,9 +70,12 @@ namespace io {
 
 /// Expands a sweep spec into one MinerOptions per grid point, each starting
 /// from `base`.  InvalidArgument on malformed specs (empty axes, unknown
-/// axis, bad number, descending range, non-integer MinG/MinC, bad JSON).
+/// axis, bad number, descending range, a value its row rejects, bad JSON)
+/// and on a spec over `max_points` points, which is counted before any
+/// point is expanded.  The default is the most a sweep report can index.
 util::StatusOr<std::vector<core::MinerOptions>> ParseSweepSpec(
-    const std::string& spec, const core::MinerOptions& base);
+    const std::string& spec, const core::MinerOptions& base,
+    size_t max_points = std::numeric_limits<int>::max());
 
 /// Writes the JSON report (schema above).
 util::Status WriteSweepJson(const core::SweepReport& report,

@@ -1,10 +1,6 @@
 #include "server/request.h"
 
-#include <cmath>
-#include <cstdint>
-#include <limits>
-
-#include "core/threshold.h"
+#include "core/options.h"
 #include "util/string_util.h"
 
 namespace regcluster {
@@ -39,26 +35,17 @@ Status ReadDouble(const JsonValue& v, std::string_view field, double* out) {
   return Status::OK();
 }
 
-Status ReadInt64(const JsonValue& v, std::string_view field, int64_t* out) {
-  if (!v.is_number()) return FieldError(field, "must be a number");
-  const double d = v.number_value;
-  if (d != std::floor(d) || d < -9007199254740992.0 ||
-      d > 9007199254740992.0) {
-    return FieldError(field, "must be an integer");
+core::OptionValue ToOptionValue(const JsonValue& v) {
+  switch (v.kind) {
+    case JsonValue::Kind::kNumber:
+      return core::OptionValue::Number(v.number_value);
+    case JsonValue::Kind::kBool:
+      return core::OptionValue::Bool(v.bool_value);
+    case JsonValue::Kind::kString:
+      return core::OptionValue::String(v.string_value);
+    default:
+      return core::OptionValue{};
   }
-  *out = static_cast<int64_t>(d);
-  return Status::OK();
-}
-
-Status ReadInt(const JsonValue& v, std::string_view field, int* out) {
-  int64_t wide = 0;
-  if (Status s = ReadInt64(v, field, &wide); !s.ok()) return s;
-  if (wide < std::numeric_limits<int>::min() ||
-      wide > std::numeric_limits<int>::max()) {
-    return FieldError(field, "out of range");
-  }
-  *out = static_cast<int>(wide);
-  return Status::OK();
 }
 
 StatusOr<MineRequest> ParseCommon(const JsonValue& body,
@@ -73,35 +60,14 @@ StatusOr<MineRequest> ParseCommon(const JsonValue& body,
     Status s = Status::OK();
     if (key == "matrix") {
       s = ReadString(value, key, &req.matrix_path);
-    } else if (key == "ming") {
-      s = ReadInt(value, key, &req.options.min_genes);
-    } else if (key == "minc") {
-      s = ReadInt(value, key, &req.options.min_conditions);
-    } else if (key == "gamma") {
-      s = ReadDouble(value, key, &req.options.gamma);
-    } else if (key == "gamma_policy") {
-      std::string name;
-      s = ReadString(value, key, &name);
-      if (s.ok() &&
-          !core::ParseGammaPolicy(name, &req.options.gamma_policy)) {
-        s = FieldError(key, "names no gamma policy");
-      }
-    } else if (key == "epsilon") {
-      s = ReadDouble(value, key, &req.options.epsilon);
-    } else if (key == "remove_dominated") {
-      s = ReadBool(value, key, &req.options.remove_dominated);
-    } else if (key == "max_nodes") {
-      s = ReadInt64(value, key, &req.options.max_nodes);
-    } else if (key == "max_clusters") {
-      s = ReadInt64(value, key, &req.options.max_clusters);
-    } else if (key == "deadline_ms") {
-      s = ReadDouble(value, key, &req.options.deadline_ms);
-    } else if (key == "collect_stats") {
-      s = ReadBool(value, key, &req.options.collect_stats);
     } else if (key == "deterministic_output") {
       s = ReadBool(value, key, &req.deterministic_output);
     } else if (key == "spec" && sweep) {
       s = ReadString(value, key, &req.sweep_spec);
+    } else if (const core::OptionField* field =
+                   core::FindOption(&core::OptionField::json_key, key)) {
+      s = core::SetOption(*field, ToOptionValue(value), &req.options);
+      if (!s.ok()) s = FieldError(key, s.message());
     } else {
       s = FieldError(key, "is not a recognized request field");
     }

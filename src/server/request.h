@@ -5,18 +5,15 @@
 // The schema is flat and strict.  Recognized fields:
 //
 //   "matrix"          string, required -- matrix path on the server
-//   "ming" / "minc"   integers >= 1 / >= 2
-//   "gamma"           number        "gamma_policy"  string (threshold.h names)
-//   "epsilon"         number        "remove_dominated"  bool
-//   "max_nodes" / "max_clusters"    integers (per-request budgets)
-//   "deadline_ms"     number (per-request deadline budget)
-//   "collect_stats"   bool          "deterministic_output"  bool
+//   "deterministic_output"  bool
 //   "spec"            string, sweep only -- io::ParseSweepSpec grammar
 //
-// Unknown fields are InvalidArgument, not ignored: a typo'd budget field
-// silently dropped would mine without the budget the client asked for.
-// Execution knobs (threads, caches, checkpoints) are the *server's*
-// configuration and deliberately not in the schema.
+// plus every row of the options table (core/options.h) that has a JSON
+// key, set and range-checked through the row.  Unknown fields are
+// InvalidArgument, not ignored: a typo'd budget field silently dropped
+// would mine without the budget the client asked for.  Execution knobs
+// (threads, caches, checkpoints) are the *server's* configuration and have
+// no JSON key.
 
 #ifndef REGCLUSTER_SERVER_REQUEST_H_
 #define REGCLUSTER_SERVER_REQUEST_H_

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/options.h"
 #include "core/sweep.h"
 #include "io/checkpoint.h"
 #include "io/json_export.h"
@@ -33,16 +34,6 @@ ServiceResponse ErrorResponse(int http_status, const std::string& name,
   return r;
 }
 
-/// Mirrors RegClusterMiner::Prepare's gamma screen (and the sweep engine's
-/// GammaLooksValid): a spec failing this must never reach a model build.
-bool GammaLooksValid(const core::MinerOptions& opts) {
-  if (opts.gamma < 0.0) return false;
-  if (opts.gamma_policy != core::GammaPolicy::kAbsolute && opts.gamma > 1.0) {
-    return false;
-  }
-  return true;
-}
-
 /// Request-option validation that needs the loaded matrix.  Runs before
 /// any model is built or cached: a bad request must cost parsing plus one
 /// matrix lookup, never a model build under the cache mutex -- and an
@@ -50,27 +41,12 @@ bool GammaLooksValid(const core::MinerOptions& opts) {
 /// its ceiling as defense in depth, but the service rejects outright).
 Status ValidateMineOptions(const core::MinerOptions& opts,
                            const matrix::MatrixStore& data) {
-  if (opts.min_genes < 1) {
-    return Status::InvalidArgument("ming must be >= 1");
-  }
-  if (opts.min_conditions < 2) {
-    return Status::InvalidArgument(
-        "minc must be >= 2 (a chain needs at least one regulation step)");
-  }
+  if (Status s = core::ValidateMinerOptions(opts); !s.ok()) return s;
   if (opts.min_conditions > data.num_conditions()) {
     return Status::InvalidArgument(
         "minc " + std::to_string(opts.min_conditions) +
         " exceeds the matrix's " + std::to_string(data.num_conditions()) +
         " conditions; no cluster can satisfy it");
-  }
-  if (!GammaLooksValid(opts)) {
-    return Status::InvalidArgument(
-        opts.gamma_policy != core::GammaPolicy::kAbsolute
-            ? "gamma must be in [0, 1] for relative policies"
-            : "absolute gamma must be >= 0");
-  }
-  if (opts.epsilon < 0.0) {
-    return Status::InvalidArgument("epsilon must be >= 0");
   }
   return Status::OK();
 }
@@ -381,16 +357,9 @@ ServiceResponse MiningService::ExecuteSweep(const MineRequest& request) {
   }
   core::MinerOptions base = request.options;
   base.num_threads = 1;
-  auto points = io::ParseSweepSpec(request.sweep_spec, base);
+  auto points = io::ParseSweepSpec(request.sweep_spec, base, kMaxSweepPoints);
   if (!points.ok()) {
     return ErrorResponse(400, "bad_request", points.status().message());
-  }
-  if (points->size() > kMaxSweepPoints) {
-    return ErrorResponse(
-        400, "bad_request",
-        "sweep expands to " + std::to_string(points->size()) +
-            " points (limit " + std::to_string(kMaxSweepPoints) +
-            "); run it as a checkpointed CLI sweep");
   }
 
   // One model per distinct (policy, gamma), built with the group's largest

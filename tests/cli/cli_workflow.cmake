@@ -27,6 +27,12 @@ endforeach()
 run(${CLI} significance --matrix=${WORKDIR}/m.tsv --clusters=${WORKDIR}/found.txt
     --gamma=0.1 --epsilon=0.05 --permutations=300)
 run(${CLI} rwave --matrix=${WORKDIR}/m.tsv --gene=0 --gamma=0.1)
+# Without --gamma, rwave shows the model a default `mine` uses.
+execute_process(COMMAND ${CLI} rwave --matrix=${WORKDIR}/m.tsv --gene=0
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "gamma = 0.05 ->")
+  message(FATAL_ERROR "rwave default gamma is not mine's 0.05 (${rc}):\n${out}${err}")
+endif()
 run(${CLI} mine --matrix=${WORKDIR}/m.tsv --out=${WORKDIR}/targeted.txt
     --ming=6 --minc=5 --gamma=0.1 --epsilon=0.05 --require-gene=0
     --merge-overlap=0.5 --impute=knn --knn-k=4)
@@ -40,26 +46,51 @@ if(NOT EXISTS ${WORKDIR}/m.csv)
   message(FATAL_ERROR "missing m.csv")
 endif()
 
-# Numeric flags parse strictly: a malformed, partial or out-of-range value
-# is a usage error (exit 2) naming the flag, never a silently wrong number.
+# Numeric and boolean flags parse strictly: a malformed, partial or
+# out-of-range value is a usage error (exit 2) naming the flag, never a
+# silently wrong number or a silent `false`.
 function(run_usage_error)
   execute_process(COMMAND ${ARGV} RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL 2)
     message(FATAL_ERROR "expected usage error (2), got ${rc}: ${ARGV}\n${out}\n${err}")
   endif()
-  if(NOT err MATCHES "invalid numeric value")
+  if(NOT err MATCHES "invalid value: --")
     message(FATAL_ERROR "usage error does not name the bad value: ${ARGV}\n${err}")
   endif()
 endfunction()
 file(REMOVE ${WORKDIR}/bad.txt ${WORKDIR}/bad.tsv)
-foreach(bad --threads=4x --ming=30abc --epsilon=0.5zz)
+foreach(bad --threads=4x --ming=30abc --epsilon=0.5zz --remove-dominated=flase
+            --collect-stats=maybe)
   run_usage_error(${CLI} mine --matrix=${WORKDIR}/m.tsv
       --out=${WORKDIR}/bad.txt --minc=5 --gamma=0.1 ${bad})
 endforeach()
+
+# Option values that convert but fail their range check -- non-finite
+# gamma/epsilon/deadline included -- are runtime errors (exit 1) that mine
+# nothing, exactly like a negative gamma.
+foreach(bad --gamma=-1 --gamma=nan --epsilon=nan --epsilon=inf
+            --deadline-ms=nan --ming=0)
+  execute_process(COMMAND ${CLI} mine --matrix=${WORKDIR}/m.tsv
+      --out=${WORKDIR}/bad.txt --ming=5 --minc=4 ${bad}
+      RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "expected exit 1 for ${bad}, got ${rc}\n${out}\n${err}")
+  endif()
+endforeach()
+
+# A sweep value outside its axis's integer type is a spec error naming the
+# axis, not a wrapped MinG.
+execute_process(COMMAND ${CLI} mine --matrix=${WORKDIR}/m.tsv
+    --sweep=ming=3000000000 --sweep-out=${WORKDIR}/bad.json
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "sweep axis ming")
+  message(FATAL_ERROR "--sweep=ming=3000000000: got ${rc}\n${out}\n${err}")
+endif()
 run_usage_error(${CLI} generate --out-matrix=${WORKDIR}/bad.tsv --seed=-1)
 run_usage_error(${CLI} generate --out-matrix=${WORKDIR}/bad.tsv
     --seed=18446744073709551616)
-if(EXISTS ${WORKDIR}/bad.txt OR EXISTS ${WORKDIR}/bad.tsv)
+if(EXISTS ${WORKDIR}/bad.txt OR EXISTS ${WORKDIR}/bad.tsv OR
+   EXISTS ${WORKDIR}/bad.json)
   message(FATAL_ERROR "a rejected command wrote output")
 endif()
 

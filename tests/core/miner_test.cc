@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -41,6 +42,30 @@ TEST(MinerOptionsValidation, RejectsBadParameters) {
     MinerOptions o;
     o.epsilon = -1.0;
     EXPECT_FALSE(RegClusterMiner(data, o).Mine().ok());
+  }
+}
+
+TEST(MinerOptionsValidation, RejectsNonFiniteParameters) {
+  // NaN slips past every ordered comparison, so range checks alone let a
+  // NaN gamma mine an empty result; each finite-valued option says so.
+  const auto data = RunningDataset();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (auto set : std::vector<void (*)(MinerOptions*, double)>{
+           [](MinerOptions* o, double v) { o->gamma = v; },
+           [](MinerOptions* o, double v) { o->epsilon = v; },
+           [](MinerOptions* o, double v) { o->deadline_ms = v; },
+           [](MinerOptions* o, double v) {
+             o->gamma_policy = GammaPolicy::kAbsolute;
+             o->gamma = v;
+           }}) {
+    for (double v : {nan, inf}) {
+      MinerOptions o;
+      set(&o, v);
+      auto result = RegClusterMiner(data, o).Mine();
+      ASSERT_FALSE(result.ok()) << v;
+      EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+    }
   }
 }
 

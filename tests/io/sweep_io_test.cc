@@ -4,6 +4,7 @@
 // lists, so the `v;v` list form is pinned here.
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -97,11 +98,48 @@ TEST(ParseSweepSpecTest, MalformedSpecsAreInvalidArgument) {
       "[{\"gamma\": }]",       // missing value
       "[{\"delta\": 1}]",      // unknown JSON key
       "[{\"gamma\": 0.1}] x",  // trailing bytes
+      "ming=3000000000",       // outside MinG's int type
+      "[{\"minc\": -5e9}]",    // same, through the JSON form
+      "ming=0",                // below the MinG row's range
+      "eps=-0.5",              // below the epsilon row's range
   };
   for (const char* spec : bad) {
     auto points = ParseSweepSpec(spec, Base());
     EXPECT_FALSE(points.ok()) << "spec accepted: '" << spec << "'";
   }
+}
+
+TEST(ParseSweepSpecTest, OutOfTypeIntegerIsAnErrorNamingTheAxis) {
+  // Once a double -> int cast that wrapped to MinG -2147483648.
+  for (const char* spec : {"ming=3000000000", "minc=2:3000000002:3000000000"}) {
+    auto points = ParseSweepSpec(spec, Base());
+    ASSERT_FALSE(points.ok()) << spec;
+    EXPECT_EQ(points.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(points.status().message().find("sweep axis min"),
+              std::string::npos)
+        << points.status().message();
+  }
+}
+
+TEST(ParseSweepSpecTest, PointCountIsBoundedBeforeExpansion) {
+  // Counted, not expanded: a 1e12-point cross product and a single axis
+  // with a 1e-12 step are both over even the no-limit ceiling.
+  for (const char* spec : {"gamma=0:1:1e-4,eps=0:1:1e-4,ming=1:10000:1",
+                           "gamma=0:1:1e-12", "eps=0:1e300:1e-300"}) {
+    auto points = ParseSweepSpec(spec, Base());
+    ASSERT_FALSE(points.ok()) << spec;
+    EXPECT_NE(points.status().message().find("limit"), std::string::npos)
+        << points.status().message();
+  }
+  // A caller's limit applies to ranges, lists, cross products and the
+  // JSON form alike, and a spec exactly at it expands.
+  EXPECT_FALSE(ParseSweepSpec("gamma=0:1:0.01", Base(), 100).ok());
+  EXPECT_EQ(ParseSweepSpec("gamma=0:1:0.01", Base(), 101)->size(), 101u);
+  EXPECT_FALSE(ParseSweepSpec("gamma=0.1;0.2;0.3", Base(), 2).ok());
+  EXPECT_FALSE(ParseSweepSpec("gamma=0.1;0.2,ming=3;4", Base(), 3).ok());
+  EXPECT_EQ(ParseSweepSpec("gamma=0.1;0.2,ming=3;4", Base(), 4)->size(), 4u);
+  EXPECT_FALSE(ParseSweepSpec("[{}, {}, {}]", Base(), 2).ok());
+  EXPECT_EQ(ParseSweepSpec("[{}, {}]", Base(), 2)->size(), 2u);
 }
 
 core::SweepReport TinyReport() {

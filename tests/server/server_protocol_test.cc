@@ -415,6 +415,20 @@ TEST_F(ServiceDispatch, SweepPointsWithHostileOptionsDoNotKillTheSweep) {
   EXPECT_EQ(health.http_status, 200);
 }
 
+TEST_F(ServiceDispatch, OversizedSweepSpecIsRejectedBeforeExpansion) {
+  // A few dozen bytes of spec naming 1e12 (or 1e7) points: a 400 from the
+  // spec's counted size, never an expansion up to the point limit.
+  for (const char* spec : {"gamma=0:1:1e-4,eps=0:1:1e-4,ming=1:10000:1",
+                           "gamma=0:1:1e-7"}) {
+    ExpectNamedError(
+        service_.HandleHttp(
+            "POST", "/sweep",
+            TinyMineBody(std::string("\"spec\":\"") + spec + "\"")),
+        400, "bad_request");
+  }
+  EXPECT_EQ(service_.HandleHttp("GET", "/healthz", "").http_status, 200);
+}
+
 TEST_F(ServiceDispatch, HealthAndMetricsStayUpAfterFaults) {
   // A storm of malformed requests must leave the service answering.
   for (int i = 0; i < 50; ++i) {

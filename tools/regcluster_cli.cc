@@ -36,6 +36,7 @@
 
 #include "core/coherence.h"
 #include "core/miner.h"
+#include "core/options.h"
 #include "core/rwave.h"
 #include "core/sweep.h"
 #include "eval/annotation_gen.h"
@@ -77,6 +78,9 @@ constexpr int kExitTruncated = 3;
 // Flag plumbing.
 // ---------------------------------------------------------------------------
 
+/// Rows of the options table (core/options.h) a command reads as flags.
+using OptionRows = std::vector<const core::OptionField*>;
+
 class Flags {
  public:
   /// Parses `argv[first..argc)` as --name[=value] flags.  Returns
@@ -109,33 +113,60 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
-  int GetInt(const std::string& name, int fallback) {
-    return GetNumber(name, fallback);
-  }
-
-  int64_t GetInt64(const std::string& name, int64_t fallback) {
-    return GetNumber(name, fallback);
-  }
-
-  uint64_t GetUint64(const std::string& name, uint64_t fallback) {
-    return GetNumber(name, fallback);
-  }
-
-  double GetDouble(const std::string& name, double fallback) {
-    return GetNumber(name, fallback);
+  /// Parses the whole value as a T in T's full range.  A malformed,
+  /// partial ("4x") or out-of-range value is recorded for RejectUnknown()
+  /// to report, and `fallback` stands in until then.
+  template <typename T>
+  T Get(const std::string& name, T fallback) {
+    const std::string v = GetString(name, "");
+    if (v.empty()) return fallback;
+    T out{};
+    const char* end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+    if (ec != std::errc() || ptr != end) {
+      bad_values_.push_back("--" + name + "=" + v +
+                            " (must be a number in range)");
+      return fallback;
+    }
+    return out;
   }
 
   bool GetBool(const std::string& name, bool fallback = false) {
     const std::string v = GetString(name, "");
     if (v.empty()) return fallback;
-    return v == "true" || v == "1" || v == "yes";
+    const std::optional<bool> parsed = core::ParseBoolText(v);
+    if (!parsed) {
+      bad_values_.push_back("--" + name + "=" + v +
+                            " (must be true|false|1|0|yes|no)");
+      return fallback;
+    }
+    return *parsed;
+  }
+
+  /// Reads the flags of `rows` over the front end's defaults.  A value that
+  /// does not convert is recorded for RejectUnknown() (exit 2); range errors
+  /// are the caller's ValidateMinerOptions (exit 1, as they always were).
+  core::MinerOptions GetOptions(
+      const OptionRows& rows, core::FrontEnd front_end = core::FrontEnd::kCli) {
+    core::MinerOptions opts = core::FrontEndDefaults(front_end);
+    for (const core::OptionField* row : rows) {
+      const std::string v = GetString(row->flag, "");
+      if (v.empty()) continue;
+      const util::Status st =
+          core::ConvertOption(*row, core::OptionValue::Text(v), &opts);
+      if (!st.ok()) {
+        bad_values_.push_back("--" + std::string(row->flag) + "=" + v + " (" +
+                              st.message() + ")");
+      }
+    }
+    return opts;
   }
 
   /// Returns InvalidArgument when an unconsumed flag remains (typo
   /// protection).  Call after the last Get*.
   util::Status RejectUnknown() const {
     if (!bad_values_.empty()) {
-      return util::Status::InvalidArgument("invalid numeric value: " +
+      return util::Status::InvalidArgument("invalid value: " +
                                            bad_values_.front());
     }
     for (const auto& [name, value] : values_) {
@@ -150,23 +181,6 @@ class Flags {
  private:
   Flags() = default;
 
-  /// Parses the whole value as a T in T's full range.  A malformed,
-  /// partial ("4x") or out-of-range value is recorded for RejectUnknown()
-  /// to report, and `fallback` stands in until then.
-  template <typename T>
-  T GetNumber(const std::string& name, T fallback) {
-    const std::string v = GetString(name, "");
-    if (v.empty()) return fallback;
-    T out{};
-    const char* end = v.data() + v.size();
-    const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-    if (ec != std::errc() || ptr != end) {
-      bad_values_.push_back("--" + name + "=" + v);
-      return fallback;
-    }
-    return out;
-  }
-
   std::map<std::string, std::string> values_;
   std::set<std::string> used_;
   std::vector<std::string> bad_values_;
@@ -180,6 +194,11 @@ int Fail(const util::Status& status) {
 int UsageError(const util::Status& status) {
   std::fprintf(stderr, "%s\n", status.message().c_str());
   return kExitUsage;
+}
+
+/// Prints a command's help: `head`, the usage of its option rows, `tail`.
+void PrintHelp(const char* head, const OptionRows& rows, const char* tail) {
+  std::printf("%s\n%s\n%s\n", head, core::FlagUsage(rows).c_str(), tail);
 }
 
 // ---------------------------------------------------------------------------
@@ -254,23 +273,23 @@ int CmdGenerate(Flags* flags) {
   synth::SyntheticDataset ds;
   if (flags->GetBool("yeast")) {
     synth::YeastSurrogateConfig cfg;
-    cfg.seed = flags->GetUint64("seed", 1999);
-    cfg.num_modules = flags->GetInt("clusters", 25);
-    cfg.noise_fraction = flags->GetDouble("noise", 0.05);
+    cfg.seed = flags->Get<uint64_t>("seed", 1999);
+    cfg.num_modules = flags->Get("clusters", 25);
+    cfg.noise_fraction = flags->Get("noise", 0.05);
     if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
     auto made = synth::MakeYeastSurrogate(cfg);
     if (!made.ok()) return Fail(made.status());
     ds = *std::move(made);
   } else {
     synth::SyntheticConfig cfg;
-    cfg.num_genes = flags->GetInt("genes", 3000);
-    cfg.num_conditions = flags->GetInt("conditions", 30);
-    cfg.num_clusters = flags->GetInt("clusters", 30);
-    cfg.avg_cluster_genes_fraction = flags->GetDouble("gene-fraction", 0.01);
-    cfg.avg_cluster_conditions = flags->GetInt("dim", 6);
-    cfg.negative_fraction = flags->GetDouble("negative-fraction", 0.3);
-    cfg.noise_fraction = flags->GetDouble("noise", 0.0);
-    cfg.seed = flags->GetUint64("seed", 42);
+    cfg.num_genes = flags->Get("genes", 3000);
+    cfg.num_conditions = flags->Get("conditions", 30);
+    cfg.num_clusters = flags->Get("clusters", 30);
+    cfg.avg_cluster_genes_fraction = flags->Get("gene-fraction", 0.01);
+    cfg.avg_cluster_conditions = flags->Get("dim", 6);
+    cfg.negative_fraction = flags->Get("negative-fraction", 0.3);
+    cfg.noise_fraction = flags->Get("noise", 0.0);
+    cfg.seed = flags->Get<uint64_t>("seed", 42);
     if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
     auto made = synth::GenerateSynthetic(cfg);
     if (!made.ok()) return Fail(made.status());
@@ -420,20 +439,16 @@ int RunSweep(const matrix::MatrixStore& data, core::MinerOptions base,
 // ---------------------------------------------------------------------------
 
 int CmdMine(Flags* flags) {
+  const OptionRows rows = core::RowsWith(&core::OptionField::flag);
   if (flags->GetBool("help")) {
-    std::puts(
-        "regcluster mine --matrix=PATH --out=PATH\n"
-        "  [--ming=20] [--minc=6] [--gamma=0.05]\n"
-        "  [--gamma-policy=range|stddev|mean|closest-gap|absolute]\n"
-        "  [--epsilon=1.0] [--threads=1] [--remove-dominated=true]\n"
-        "  [--matrix-format=auto|bin|text] [--model-cache-mb=-1]\n"
-        "  [--model-cache-shards=8]\n"
+    PrintHelp(
+        "regcluster mine --matrix=PATH --out=PATH", rows,
+        "  [--matrix-format=auto|bin|text]\n"
         "  [--impute=rowmean|knn] [--knn-k=10] [--normalize=none|quantile]\n"
         "  [--merge-overlap=0] [--require-gene=NAME_OR_INDEX]\n"
         "  [--report=PATH] [--json=PATH]\n"
         "  [--metrics-out=PATH] [--metrics-format=json|prom]\n"
-        "  [--collect-stats=true] [--simd=auto|scalar|avx2|neon]\n"
-        "  [--max-clusters=-1] [--max-nodes=-1] [--deadline-ms=-1]\n"
+        "  [--simd=auto|scalar|avx2|neon]\n"
         "  [--checkpoint=PATH] [--checkpoint-every-ms=1000]\n"
         "  [--resume-from=PATH] [--deterministic-output]\n"
         "  [--incremental-out=PATH]\n"
@@ -512,22 +527,7 @@ int CmdMine(Flags* flags) {
     return 2;
   }
 
-  core::MinerOptions opts;
-  opts.min_genes = flags->GetInt("ming", 20);
-  opts.min_conditions = flags->GetInt("minc", 6);
-  opts.gamma = flags->GetDouble("gamma", 0.05);
-  opts.epsilon = flags->GetDouble("epsilon", 1.0);
-  opts.num_threads = flags->GetInt("threads", 1);
-  opts.remove_dominated = flags->GetBool("remove-dominated", true);
-  opts.max_clusters = flags->GetInt64("max-clusters", -1);
-  opts.max_nodes = flags->GetInt64("max-nodes", -1);
-  opts.deadline_ms = flags->GetDouble("deadline-ms", -1.0);
-  const std::string policy = flags->GetString("gamma-policy", "range");
-  if (!core::ParseGammaPolicy(policy, &opts.gamma_policy)) {
-    std::fprintf(stderr, "unknown --gamma-policy=%s\n", policy.c_str());
-    return 2;
-  }
-  opts.collect_stats = flags->GetBool("collect-stats", true);
+  core::MinerOptions opts = flags->GetOptions(rows);
   const std::string report_path = flags->GetString("report", "");
   const std::string json_path = flags->GetString("json", "");
   const std::string metrics_path = flags->GetString("metrics-out", "");
@@ -538,19 +538,14 @@ int CmdMine(Flags* flags) {
     return UsageError(metrics_format.status());
   }
   const std::string impute = flags->GetString("impute", "rowmean");
-  const int knn_k = flags->GetInt("knn-k", 10);
+  const int knn_k = flags->Get("knn-k", 10);
   const std::string normalize = flags->GetString("normalize", "none");
-  const double merge_overlap = flags->GetDouble("merge-overlap", 0.0);
+  const double merge_overlap = flags->Get("merge-overlap", 0.0);
   const std::string require_gene = flags->GetString("require-gene", "");
   const std::string simd_name = flags->GetString("simd", "auto");
   const std::string matrix_format = flags->GetString("matrix-format", "auto");
-  const int64_t model_cache_mb = flags->GetInt64("model-cache-mb", -1);
-  opts.model_cache_shards = flags->GetInt("model-cache-shards", 8);
-  if (model_cache_mb >= 0) {
-    opts.model_cache_bytes = model_cache_mb * (int64_t{1} << 20);
-  }
   const std::string checkpoint_path = flags->GetString("checkpoint", "");
-  const int checkpoint_every_ms = flags->GetInt("checkpoint-every-ms", 1000);
+  const int checkpoint_every_ms = flags->Get("checkpoint-every-ms", 1000);
   const std::string resume_from = flags->GetString("resume-from", "");
   const std::string append_path = flags->GetString("append", "");
   const std::string prev_outcome = flags->GetString("prev-outcome", "");
@@ -599,6 +594,7 @@ int CmdMine(Flags* flags) {
   if (auto st = util::simd::ApplySimdFlag(simd_name); !st.ok()) {
     return UsageError(st);
   }
+  if (auto st = core::ValidateMinerOptions(opts); !st.ok()) return Fail(st);
 
   // Sweep mode: expand the grid before touching the matrix, so a malformed
   // spec is a fast usage error.  The budget flags become sweep-level (the
@@ -968,12 +964,14 @@ int CmdMine(Flags* flags) {
 // ---------------------------------------------------------------------------
 
 int CmdEvaluate(Flags* flags) {
+  const OptionRows rows = {&core::OptionFor(&core::MinerOptions::gamma),
+                           &core::OptionFor(&core::MinerOptions::epsilon)};
   if (flags->GetBool("help")) {
-    std::puts(
-        "regcluster evaluate --found=PATH --truth=PATH [--matrix=PATH]\n"
+    PrintHelp(
+        "regcluster evaluate --found=PATH --truth=PATH [--matrix=PATH]", rows,
         "Prints gene/cell relevance & recovery of the found clusters against\n"
-        "the truth; with --matrix also validates every found cluster\n"
-        "(gamma/epsilon from --gamma=/--epsilon=, defaults 0.05 / 1.0).");
+        "the truth; with --matrix also validates every found cluster under\n"
+        "--gamma/--epsilon.");
     return 0;
   }
   const std::string found_path = flags->GetString("found", "");
@@ -983,9 +981,9 @@ int CmdEvaluate(Flags* flags) {
     return 2;
   }
   const std::string matrix_path = flags->GetString("matrix", "");
-  const double gamma = flags->GetDouble("gamma", 0.05);
-  const double epsilon = flags->GetDouble("epsilon", 1.0);
+  const core::MinerOptions opts = flags->GetOptions(rows);
   if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
+  if (auto st = core::ValidateMinerOptions(opts); !st.ok()) return Fail(st);
 
   auto found_or = LoadClustersArg(found_path);
   if (!found_or.ok()) return Fail(found_or.status());
@@ -1011,13 +1009,13 @@ int CmdEvaluate(Flags* flags) {
     int invalid = 0;
     std::string why;
     for (const auto& c : found) {
-      if (!core::ValidateRegCluster(data, c, gamma, epsilon, &why)) {
+      if (!core::ValidateRegCluster(data, c, opts.gamma, opts.epsilon, &why)) {
         ++invalid;
         std::fprintf(stderr, "invalid cluster: %s\n", why.c_str());
       }
     }
     std::printf("validated %zu clusters, %d invalid (gamma=%.3g eps=%.3g)\n",
-                found.size(), invalid, gamma, epsilon);
+                found.size(), invalid, opts.gamma, opts.epsilon);
     if (invalid > 0) return 1;
   }
   return 0;
@@ -1044,8 +1042,8 @@ int CmdEnrich(Flags* flags) {
   }
   const std::string annotations_path = flags->GetString("annotations", "");
   eval::EnrichmentOptions eopts;
-  eopts.max_p_value = flags->GetDouble("max-p", 0.05);
-  const int top = flags->GetInt("top", 3);
+  eopts.max_p_value = flags->Get("max-p", 0.05);
+  const int top = flags->Get("top", 3);
   if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
 
   auto data_or = LoadMatrixArg(matrix_path);
@@ -1107,7 +1105,7 @@ int CmdSummarize(Flags* flags) {
     return 2;
   }
   const std::string matrix_path = flags->GetString("matrix", "");
-  const int top = flags->GetInt("top", 5);
+  const int top = flags->Get("top", 5);
   if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
 
   auto clusters_or = LoadClustersArg(clusters_path);
@@ -1183,7 +1181,7 @@ int CmdConvert(Flags* flags) {
   matrix::TextFormat out_fmt;
   out_fmt.delimiter = delim(flags->GetString("out-delimiter", "tab"), '\t');
   const std::string impute = flags->GetString("impute", "none");
-  const int knn_k = flags->GetInt("knn-k", 10);
+  const int knn_k = flags->Get("knn-k", 10);
   const std::string transform = flags->GetString("transform", "none");
   const std::string normalize = flags->GetString("normalize", "none");
   const std::string in_format = flags->GetString("in-format", "auto");
@@ -1281,7 +1279,7 @@ int CmdStats(Flags* flags) {
     std::fprintf(stderr, "--matrix is required\n");
     return 2;
   }
-  const int worst = flags->GetInt("worst", 5);
+  const int worst = flags->Get("worst", 5);
   if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
   auto data_or = LoadMatrixArg(matrix_path);
   if (!data_or.ok()) return Fail(data_or.status());
@@ -1297,10 +1295,12 @@ int CmdStats(Flags* flags) {
 // ---------------------------------------------------------------------------
 
 int CmdSignificance(Flags* flags) {
+  const OptionRows rows = {&core::OptionFor(&core::MinerOptions::gamma),
+                           &core::OptionFor(&core::MinerOptions::epsilon)};
   if (flags->GetBool("help")) {
-    std::puts(
-        "regcluster significance --matrix=PATH --clusters=PATH\n"
-        "  [--gamma=0.05] [--epsilon=1.0] [--permutations=2000] [--seed=101]\n"
+    PrintHelp(
+        "regcluster significance --matrix=PATH --clusters=PATH", rows,
+        "  [--permutations=2000] [--seed=101]\n"
         "Permutation test per cluster: how often does a shuffled gene "
         "profile\nmatch the cluster's chain and coherence?  Reports the "
         "binomial-tail\np-value for the observed member count.");
@@ -1312,12 +1312,14 @@ int CmdSignificance(Flags* flags) {
     std::fprintf(stderr, "--matrix and --clusters are required\n");
     return 2;
   }
+  const core::MinerOptions model = flags->GetOptions(rows);
   eval::SignificanceOptions opts;
-  opts.gamma_spec.gamma = flags->GetDouble("gamma", 0.05);
-  opts.epsilon = flags->GetDouble("epsilon", 1.0);
-  opts.permutations = flags->GetInt("permutations", 2000);
-  opts.seed = flags->GetUint64("seed", 101);
+  opts.gamma_spec.gamma = model.gamma;
+  opts.epsilon = model.epsilon;
+  opts.permutations = flags->Get("permutations", 2000);
+  opts.seed = flags->Get<uint64_t>("seed", 101);
   if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
+  if (auto st = core::ValidateMinerOptions(model); !st.ok()) return Fail(st);
 
   auto data_or = LoadMatrixArg(matrix_path);
   if (!data_or.ok()) return Fail(data_or.status());
@@ -1345,13 +1347,12 @@ int CmdSignificance(Flags* flags) {
 // ---------------------------------------------------------------------------
 
 int CmdRWave(Flags* flags) {
+  const OptionRows rows = {&core::OptionFor(&core::MinerOptions::gamma),
+                           &core::OptionFor(&core::MinerOptions::gamma_policy)};
   if (flags->GetBool("help")) {
-    std::puts(
-        "regcluster rwave --matrix=PATH --gene=NAME_OR_INDEX\n"
-        "  [--gamma=0.1] [--gamma-policy=range|stddev|mean|closest-gap|"
-        "absolute]\n"
-        "Prints the gene's RWave^gamma model: the sorted condition order and "
-        "the bordering regulation pointers (paper Figure 3).");
+    PrintHelp("regcluster rwave --matrix=PATH --gene=NAME_OR_INDEX", rows,
+              "Prints the gene's RWave^gamma model: the sorted condition "
+              "order and\nthe bordering regulation pointers (paper Figure 3).");
     return 0;
   }
   const std::string matrix_path = flags->GetString("matrix", "");
@@ -1360,14 +1361,10 @@ int CmdRWave(Flags* flags) {
     std::fprintf(stderr, "--matrix and --gene are required\n");
     return 2;
   }
-  core::GammaSpec spec;
-  spec.gamma = flags->GetDouble("gamma", 0.1);
-  const std::string policy = flags->GetString("gamma-policy", "range");
-  if (!core::ParseGammaPolicy(policy, &spec.policy)) {
-    std::fprintf(stderr, "unknown --gamma-policy=%s\n", policy.c_str());
-    return 2;
-  }
+  const core::MinerOptions opts = flags->GetOptions(rows);
   if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
+  if (auto st = core::ValidateMinerOptions(opts); !st.ok()) return Fail(st);
+  const core::GammaSpec spec{opts.gamma_policy, opts.gamma};
 
   auto data_or = LoadMatrixArg(matrix_path);
   if (!data_or.ok()) return Fail(data_or.status());
@@ -1420,13 +1417,20 @@ extern "C" void HandleServeSignal(int /*signum*/) {
 }
 
 int CmdServe(Flags* flags) {
+  // The request defaults: the paper's model parameters.
+  const OptionRows rows = {
+      &core::OptionFor(&core::MinerOptions::min_genes),
+      &core::OptionFor(&core::MinerOptions::min_conditions),
+      &core::OptionFor(&core::MinerOptions::gamma),
+      &core::OptionFor(&core::MinerOptions::gamma_policy),
+      &core::OptionFor(&core::MinerOptions::epsilon)};
   if (flags->GetBool("help")) {
-    std::puts(
+    PrintHelp(
         "regcluster serve [--port=N] [--socket=PATH]\n"
         "  [--threads=1] [--max-active=2] [--max-queued=8]\n"
-        "  [--memory-budget-mb=512] [--cache-mb=256] [--retry-after-s=1]\n"
-        "  [--ming=20] [--minc=6] [--gamma=0.05] [--gamma-policy=range]\n"
-        "  [--epsilon=1.0] [--simd=auto]\n"
+        "  [--memory-budget-mb=512] [--cache-mb=256] [--retry-after-s=1]",
+        rows,
+        "  [--simd=auto]\n"
         "Long-lived mining daemon.  --port binds 127.0.0.1:N over TCP (0\n"
         "picks an ephemeral port, printed on the 'listening' line);\n"
         "--socket binds a unix socket; at least one is required.  Both\n"
@@ -1442,27 +1446,17 @@ int CmdServe(Flags* flags) {
     return 0;
   }
   server::ServerDaemon::Options opts;
-  opts.port = flags->GetInt("port", -1);
+  opts.port = flags->Get("port", -1);
   opts.unix_socket = flags->GetString("socket", "");
-  opts.service.num_threads = flags->GetInt("threads", 1);
-  opts.service.max_active = flags->GetInt("max-active", 2);
-  opts.service.max_queued = flags->GetInt("max-queued", 8);
+  opts.service.num_threads = flags->Get("threads", 1);
+  opts.service.max_active = flags->Get("max-active", 2);
+  opts.service.max_queued = flags->Get("max-queued", 8);
   opts.service.memory_budget_bytes =
-      flags->GetInt64("memory-budget-mb", 512) * (int64_t{1} << 20);
+      flags->Get<int64_t>("memory-budget-mb", 512) * (int64_t{1} << 20);
   opts.service.cache_bytes =
-      flags->GetInt64("cache-mb", 256) * (int64_t{1} << 20);
-  opts.service.retry_after_s = flags->GetInt("retry-after-s", 1);
-  core::MinerOptions& defaults = opts.service.defaults;
-  defaults.min_genes = flags->GetInt("ming", 20);
-  defaults.min_conditions = flags->GetInt("minc", 6);
-  defaults.gamma = flags->GetDouble("gamma", 0.05);
-  defaults.epsilon = flags->GetDouble("epsilon", 1.0);
-  defaults.collect_stats = true;
-  const std::string policy = flags->GetString("gamma-policy", "range");
-  if (!core::ParseGammaPolicy(policy, &defaults.gamma_policy)) {
-    std::fprintf(stderr, "unknown --gamma-policy=%s\n", policy.c_str());
-    return 2;
-  }
+      flags->Get<int64_t>("cache-mb", 256) * (int64_t{1} << 20);
+  opts.service.retry_after_s = flags->Get("retry-after-s", 1);
+  opts.service.defaults = flags->GetOptions(rows, core::FrontEnd::kDaemon);
   const std::string simd_name = flags->GetString("simd", "auto");
   if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
   if (auto st = util::simd::ApplySimdFlag(simd_name); !st.ok()) {
@@ -1473,6 +1467,9 @@ int CmdServe(Flags* flags) {
     std::fprintf(stderr,
                  "--threads/--max-active must be >= 1, --max-queued >= 0\n");
     return 2;
+  }
+  if (auto st = core::ValidateMinerOptions(opts.service.defaults); !st.ok()) {
+    return Fail(st);
   }
 
   server::ServerDaemon daemon(opts);
