@@ -281,7 +281,9 @@ struct RegClusterMiner::RunState {
   util::WallTimer mine_timer;   ///< model ready -> Finalize() exit
   std::vector<RootWork> work;   ///< one slot per level-1 condition
   std::vector<MinerScratch> scratches;  ///< phase-A per-worker arenas
-  int first_root = 0;
+  /// The roots this run searches, in canonical order: root_set, or every
+  /// condition.  Both phases walk this list.
+  std::vector<int> roots;
   int threads = 1;
   int fin_slot = 0;  ///< guard byte-report slot of the finalize pass
 
@@ -518,26 +520,12 @@ util::Status RegClusterMiner::Prepare() {
   if (options_.budget_check_interval < 1) {
     return util::Status::InvalidArgument("budget_check_interval must be >= 1");
   }
-  if (options_.resume.can_resume()) {
-    if (options_.resume.options_hash != SemanticOptionsHash(options_)) {
-      return util::Status::InvalidArgument(
-          "resume token was issued under different mining options");
-    }
-    if (options_.resume.next_root > data_.num_conditions()) {
-      return util::Status::OutOfRange("resume token root outside the matrix");
-    }
+  if (!options_.root_set.empty()) {
     if (options_.remove_dominated) {
       return util::Status::InvalidArgument(
-          "resume cannot be combined with remove_dominated: dominance is a "
-          "global post-pass, so spliced partial outputs would not match an "
-          "unbudgeted run");
-    }
-  }
-  if (!options_.root_set.empty()) {
-    if (options_.resume.can_resume()) {
-      return util::Status::InvalidArgument(
-          "root_set cannot be combined with resume: both select the roots "
-          "to search");
+          "root_set cannot be combined with remove_dominated: dominance is a "
+          "global post-pass, so spliced root slices would not match a full "
+          "run");
     }
     int prev_root = -1;
     for (int c : options_.root_set) {
@@ -602,9 +590,7 @@ util::Status RegClusterMiner::Prepare() {
     // (queries clamp into [0, max_chain_need], so a *larger* ceiling is
     // exact, a smaller one is not).
     const SharedGammaModel& m = *options_.shared_model;
-    if (m.spec.policy != spec.policy ||
-        std::bit_cast<uint64_t>(m.spec.gamma) !=
-            std::bit_cast<uint64_t>(spec.gamma)) {
+    if (!SameGammaSpec(m.spec, spec)) {
       return util::Status::InvalidArgument(
           "shared_model was built under a different gamma spec");
     }
@@ -636,8 +622,11 @@ util::Status RegClusterMiner::Prepare() {
 
   run->work = std::vector<RootWork>(
       static_cast<size_t>(data_.num_conditions()));
-  run->first_root =
-      options_.resume.can_resume() ? options_.resume.next_root : 0;
+  run->roots = options_.root_set;
+  if (run->roots.empty()) {
+    run->roots.resize(static_cast<size_t>(data_.num_conditions()));
+    std::iota(run->roots.begin(), run->roots.end(), 0);
+  }
   run->mine_timer.Reset();
   run_ = std::move(run);
   return util::Status::OK();
@@ -705,21 +694,14 @@ void RegClusterMiner::SubmitRoots(util::TaskPool* pool, bool exclusive_pool) {
   // this run without the pool's global barrier; `track` stays null on the
   // exclusive path, where CancelPending may drop queued tasks unrun.
   RunState* track = exclusive_pool ? nullptr : run_.get();
-  // Targeted execution searches only the root_set (each root is an
-  // independent search, so skipping the rest changes nothing about the
-  // selected roots' slices); otherwise every root from first_root on.
-  const bool targeted = !options_.root_set.empty();
-  const int num_roots = targeted ? static_cast<int>(options_.root_set.size())
-                                 : num_conds - run_->first_root;
   if (track != nullptr) {
-    track->outstanding.fetch_add(num_roots, std::memory_order_relaxed);
+    track->outstanding.fetch_add(static_cast<int64_t>(run_->roots.size()),
+                                 std::memory_order_relaxed);
   }
   // Each root task seeds its level-2 subtrees and immediately re-submits
   // them: large subtrees become stealable instead of serializing behind
   // their root, which is what makes imbalanced trees scale.
-  for (int ri = 0; ri < num_roots; ++ri) {
-    const int c = targeted ? options_.root_set[static_cast<size_t>(ri)]
-                           : run_->first_root + ri;
+  for (const int c : run_->roots) {
     RootWork* rw = &work[c];
     pool->Submit([this, c, rw, pool, scratches, ctl_pool, track](int worker) {
       MinerScratch* scratch = &scratches[worker];
@@ -778,7 +760,6 @@ util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Finalize() {
   const int num_conds = data_.num_conditions();
   const int num_genes = data_.num_genes();
   const int threads = run_->threads;
-  const int first_root = run_->first_root;
   std::vector<RootWork>& work = run_->work;
   // Serial staged runs reach here without a phase A; the guard (and with it
   // the deadline clock) then starts now.
@@ -807,21 +788,14 @@ util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Finalize() {
   int64_t cluster_rem =
       options_.max_clusters >= 0 ? options_.max_clusters : kUnlimited;
   util::StopReason stop = util::StopReason::kNone;
-  int cut_root = num_conds;
   int roots_included = 0;
   std::vector<RegCluster> out;
-  const bool targeted = !options_.root_set.empty();
-  const int num_roots = targeted ? static_cast<int>(options_.root_set.size())
-                                 : num_conds - first_root;
-  for (int ri = 0; ri < num_roots; ++ri) {
-    const int c = targeted ? options_.root_set[static_cast<size_t>(ri)]
-                           : first_root + ri;
+  for (const int c : run_->roots) {
     RootWork& rw = work[static_cast<size_t>(c)];
     if (!rw.Complete()) {
       if (guard_ != nullptr &&
           guard_->hard_reason() != util::StopReason::kNone) {
         stop = guard_->hard_reason();
-        cut_root = c;
         break;
       }
       rw.Reset();
@@ -844,7 +818,6 @@ util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Finalize() {
       ctl.Finish();
       if (!ok) {
         stop = ctl.stop_reason;
-        cut_root = c;
         break;
       }
     }
@@ -857,12 +830,10 @@ util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Finalize() {
     }
     if (root_nodes > node_rem) {
       stop = util::StopReason::kNodeBudget;
-      cut_root = c;
       break;
     }
     if (root_clusters > cluster_rem) {
       stop = util::StopReason::kClusterBudget;
-      cut_root = c;
       break;
     }
     node_rem -= root_nodes;
@@ -898,7 +869,7 @@ util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Finalize() {
   outcome_.nodes_visited =
       guard_ != nullptr ? guard_->total_nodes() : stats_.nodes_expanded;
   outcome_.roots_completed = roots_included;
-  outcome_.roots_total = num_roots;
+  outcome_.roots_total = static_cast<int>(run_->roots.size());
   outcome_.wall_seconds = run_->total_timer.ElapsedSeconds();
   outcome_.peak_scratch_bytes =
       std::max<int64_t>(guard_ != nullptr ? guard_->peak_bytes() : 0,
@@ -912,13 +883,6 @@ util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Finalize() {
     outcome_.model_cache_misses = cs.misses;
     outcome_.model_cache_evictions = cs.evictions;
     outcome_.model_cache_resident_bytes = cs.resident_bytes;
-  }
-  if (truncated && !targeted) {
-    // A targeted run's cut point is an index into root_set, not a canonical
-    // prefix boundary, and resume + root_set is rejected anyway -- so no
-    // token is issued for truncated targeted runs.
-    outcome_.resume.next_root = cut_root;
-    outcome_.resume.options_hash = SemanticOptionsHash(options_);
   }
   run_.reset();
   return out;

@@ -56,22 +56,6 @@ class TaskPool;
 }  // namespace util
 namespace core {
 
-/// Continuation handle for a truncated Mine() call.  A truncated run covers
-/// the canonical roots (level-1 conditions) [first, next_root); a follow-up
-/// run with MinerOptions::resume set to this token covers [next_root, end),
-/// and because roots are searched independently the concatenation of the two
-/// cluster lists is bit-identical to a single unbudgeted run.
-struct ResumeToken {
-  /// First canonical root *not* covered by the output; -1 when complete.
-  int next_root = -1;
-  /// Fingerprint of the semantic mining options the token was issued under
-  /// (see RegClusterMiner::SemanticOptionsHash); resuming under different
-  /// semantics would splice incompatible outputs, so Mine() rejects it.
-  uint64_t options_hash = 0;
-
-  bool can_resume() const { return next_root >= 0; }
-};
-
 enum class MineStatus {
   kComplete,   ///< every root searched; the output is the full answer
   kTruncated,  ///< a budget/cancel stop cut the search; output is a prefix
@@ -87,16 +71,15 @@ struct MineOutcome {
   /// or re-run and do not contribute to the output (stats().nodes_expanded
   /// counts only the deterministic included prefix).
   int64_t nodes_visited = 0;
-  /// Canonical roots whose clusters are in the output, vs. roots this call
-  /// was asked to search (after any resume offset).
+  /// Roots whose clusters are in the output, vs. roots this call was asked
+  /// to search (root_set, or every condition).  The included roots are
+  /// always the first roots_completed of that list.
   int roots_completed = 0;
   int roots_total = 0;
   double wall_seconds = 0.0;
   /// Peak of the approximate per-worker scratch + pending-output bytes
   /// (the quantity soft_memory_limit_bytes bounds).
   int64_t peak_scratch_bytes = 0;
-  /// Set (can_resume() true) iff status == kTruncated.
-  ResumeToken resume;
 
   /// Execution telemetry.  Everything below describes *how* the run was
   /// scheduled, not *what* was mined: the values legitimately vary with
@@ -255,7 +238,8 @@ struct MinerOptions {
   /// root-granular*: the output is the clusters of the longest canonical
   /// prefix of roots whose cumulative node / cluster counts fit the budget --
   /// the same prefix (hence byte-identical output) for any thread count --
-  /// and outcome().resume lets a follow-up call continue where it stopped.
+  /// and a follow-up call with root_set = the remaining roots continues
+  /// where it stopped.
   int64_t max_clusters = -1;
   int64_t max_nodes = -1;
 
@@ -279,7 +263,7 @@ struct MinerOptions {
   /// byte-budgeted ModelCache (that many bytes across all shards; 0 =
   /// degenerate one-model-per-shard floor) instead of materializing every
   /// gene's RWave model.  Purely an execution knob -- excluded from
-  /// SemanticOptionsHash, so resume tokens splice across paths -- and the
+  /// SemanticOptionsHash, so root slices splice across paths -- and the
   /// mined output is byte-identical to the resident path at any thread
   /// count.  Ignored when shared_model is set.  < 0 = eager (default).
   int64_t model_cache_bytes = -1;
@@ -296,12 +280,6 @@ struct MinerOptions {
   /// response, more overhead.  Must be >= 1.  Fault-injection tests use 1
   /// to make every node a potential trip point.
   int budget_check_interval = 32;
-
-  /// Continue a truncated run: search only roots [resume.next_root, end).
-  /// The token must come from outcome().resume of a run with semantically
-  /// identical options (enforced via resume.options_hash); budgets and
-  /// thread counts may differ freely between the calls.
-  ResumeToken resume;
 
   /// Collect per-phase nanosecond counters (MinerStats::*_ns) for the DFS
   /// hot path.  Costs two clock reads per phase per extension, so it is off
@@ -331,9 +309,10 @@ struct MinerOptions {
   /// are searched (must be sorted strictly ascending and in range).  Roots
   /// are independent searches, so each selected root's clusters and
   /// counters are byte-identical to the same root's slice of a full run --
-  /// the contract the incremental miner (io::MineIncremental) splices on.
+  /// the contract resume (root_set = the roots a truncated run did not
+  /// include) and the incremental miner (io::MineIncremental) splice on.
   /// Purely an execution knob, excluded from SemanticOptionsHash; rejected
-  /// in combination with resume (both select the roots to search).
+  /// with remove_dominated, a global post-pass no root subset reproduces.
   std::vector<int> root_set;
 
   /// Record each included root's own (stats, clusters) slice alongside the
@@ -458,12 +437,16 @@ class RegClusterMiner {
   /// including abandoned work is outcome().nodes_visited.
   const MinerStats& stats() const { return stats_; }
 
-  /// Completion status, stop reason, coverage and resume token of the last
-  /// Mine() call.
+  /// Completion status, stop reason and coverage of the last Mine() call.
+  /// A truncated run always includes a prefix of the roots it was asked
+  /// for (root_set, or 0..C-1 when root_set is empty), roots_completed
+  /// long; mining the rest of that list and concatenating reproduces the
+  /// untruncated output.
   const MineOutcome& outcome() const { return outcome_; }
 
-  /// Per-root (stats, clusters) slices of the last Mine() call, in ascending
-  /// root order; empty unless MinerOptions::capture_root_results was set.
+  /// Per-root (stats, clusters) slices of the last Mine() call -- one per
+  /// included root, in the order searched; empty unless
+  /// MinerOptions::capture_root_results was set.
   /// Slices are captured before the remove_dominated post-pass (which is
   /// global and cannot be attributed to single roots).
   const std::vector<RootMineResult>& root_results() const {
@@ -472,8 +455,8 @@ class RegClusterMiner {
 
   /// Fingerprint of the options fields that define *what* is mined: the
   /// semantic rows of the options table (core/options.h), excluding
-  /// execution knobs (threads, budgets, profiling, resume).  Two runs with
-  /// equal hashes produce outputs that can be spliced via ResumeToken.
+  /// execution knobs (threads, budgets, profiling, root_set).  Two runs with
+  /// equal hashes produce root slices that can be spliced.
   static uint64_t SemanticOptionsHash(const MinerOptions& options);
 
  private:

@@ -52,10 +52,9 @@ struct OptionField {
 
 /// MinerOptions members with no row: execution hooks that no front end
 /// sets and the semantic hash never covers.
-inline constexpr std::array<const char*, 7> kExecutionOnlyOptions = {
-    "cancel_token", "shared_model",         "resume",
-    "root_set",     "capture_root_results", "profile_phases",
-    "budget_check_interval"};
+inline constexpr std::array<const char*, 6> kExecutionOnlyOptions = {
+    "cancel_token",         "shared_model",   "root_set",
+    "capture_root_results", "profile_phases", "budget_check_interval"};
 
 /// The rows, in MinerOptions declaration order (the hash's mix order).
 std::span<const OptionField> OptionFields();

@@ -1,10 +1,8 @@
 #include "core/sweep.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -17,20 +15,6 @@
 
 namespace regcluster {
 namespace core {
-
-namespace {
-
-// A gamma group shares one immutable model across all its points.  Keyed by
-// the exact bit pattern of gamma (any numeric difference is a different
-// per-gene threshold, hence a different model).
-using GammaKey = std::pair<int, uint64_t>;
-
-GammaKey KeyOf(const MinerOptions& opts) {
-  return {static_cast<int>(opts.gamma_policy),
-          std::bit_cast<uint64_t>(opts.gamma)};
-}
-
-}  // namespace
 
 SweepEngine::SweepEngine(const matrix::MatrixStore& data,
                          SweepOptions options)
@@ -66,7 +50,6 @@ util::StatusOr<SweepReport> SweepEngine::Run(
     std::shared_ptr<const SharedGammaModel> model;
   };
   std::vector<Group> groups;                 // first-appearance order
-  std::map<GammaKey, size_t> group_of;
   std::vector<int> point_group(points.size(), -1);
   for (size_t i = 0; i < points.size(); ++i) {
     report.runs[i].options = points[i];
@@ -77,14 +60,12 @@ util::StatusOr<SweepReport> SweepEngine::Run(
     if (!options_.share_models || !ValidateMinerOptions(points[i]).ok()) {
       continue;
     }
-    auto [it, inserted] = group_of.try_emplace(KeyOf(points[i]), groups.size());
-    if (inserted) {
-      groups.push_back(
-          Group{GammaSpec{points[i].gamma_policy, points[i].gamma}, 2, nullptr});
-    }
-    Group& grp = groups[it->second];
-    grp.max_minc = std::max(grp.max_minc, points[i].min_conditions);
-    point_group[i] = static_cast<int>(it->second);
+    const GammaSpec spec{points[i].gamma_policy, points[i].gamma};
+    size_t g = 0;
+    while (g < groups.size() && !SameGammaSpec(groups[g].spec, spec)) ++g;
+    if (g == groups.size()) groups.push_back(Group{spec, 2, nullptr});
+    groups[g].max_minc = std::max(groups[g].max_minc, points[i].min_conditions);
+    point_group[i] = static_cast<int>(g);
   }
   for (Group& grp : groups) {
     grp.model = SharedGammaModel::Build(data_, grp.spec, grp.max_minc);

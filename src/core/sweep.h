@@ -23,7 +23,8 @@
 // are enforced at *run boundaries* from each run's deterministic totals, so
 // a budget-truncated sweep covers the same canonical prefix of points at any
 // thread count; SweepReport::first_unfinished is the resume point (re-run
-// the remaining points, mirroring the miner's ResumeToken contract).
+// the remaining points, as a truncated mine resumes by mining the roots it
+// did not include).
 //
 // Budget composition ("one guard spanning the sweep, per-run sub-budgets"):
 // each run keeps its own BudgetGuard built from its point's limits; the

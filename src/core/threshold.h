@@ -12,6 +12,8 @@
 #ifndef REGCLUSTER_CORE_THRESHOLD_H_
 #define REGCLUSTER_CORE_THRESHOLD_H_
 
+#include <bit>
+#include <cstdint>
 #include <string>
 
 #include "matrix/store.h"
@@ -53,6 +55,15 @@ struct GammaSpec {
   /// difference (>= 0) for kAbsolute.
   double gamma = 0.1;
 };
+
+/// True iff both specs name the same policy and the same gamma bit pattern.
+/// Models and the semantic hash key on the bits, so 0.0 and -0.0 are
+/// distinct specs although they compare equal; every site deciding whether
+/// a model may be shared compares with this.
+inline bool SameGammaSpec(const GammaSpec& a, const GammaSpec& b) {
+  return a.policy == b.policy &&
+         std::bit_cast<uint64_t>(a.gamma) == std::bit_cast<uint64_t>(b.gamma);
+}
 
 /// Absolute threshold gamma_i for one gene under the spec.  NaN cells are
 /// ignored; an all-NaN or constant row yields 0 for the relative policies.

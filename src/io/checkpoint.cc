@@ -1,8 +1,8 @@
 #include "io/checkpoint.h"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "core/options.h"
@@ -17,11 +17,10 @@ namespace io {
 namespace {
 
 constexpr char kMagic[8] = {'R', 'G', 'C', 'X', 'C', 'K', 'P', '1'};
-// Version 2: a mine body is the root ledger's records plus a progress
-// record.  Version-1 snapshots (a cluster prefix with summed stats) are
-// refused by name rather than converted.
-constexpr uint32_t kVersion = 2;
-constexpr uint32_t kVersionBeforeLedger = 1;
+// Version 3: a sweep run record no longer carries a resume token.  Version
+// 2 added the root ledger to the mine body.  Older snapshots are refused by
+// name rather than converted.
+constexpr uint32_t kVersion = 3;
 constexpr size_t kPreambleBytes = 28;  // magic + version + endian + kind + gen
 constexpr const char* kNoun = "checkpoint";
 
@@ -33,8 +32,14 @@ constexpr uint32_t kTagSweepRun = 6;
 constexpr uint32_t kTagEnd = 7;
 constexpr uint32_t kTagProgress = 8;
 
+// The largest wire values of the enums a sweep snapshot stores.
+constexpr auto kMaxStopReason =
+    static_cast<uint32_t>(util::StopReason::kClusterBudget);
+constexpr auto kMaxStatusCode =
+    static_cast<uint32_t>(util::StatusCode::kInternal);
+
 // The MineOutcome subset a sweep snapshot restores (the fields sweep reports
-// print plus the resume contract fields).
+// print).
 void PutOutcome(std::string* out, const core::MineOutcome& o) {
   PutU32(out, o.status == core::MineStatus::kTruncated ? 1 : 0);
   PutU32(out, static_cast<uint32_t>(o.stop_reason));
@@ -43,46 +48,45 @@ void PutOutcome(std::string* out, const core::MineOutcome& o) {
   PutI64(out, o.roots_total);
   PutDouble(out, o.wall_seconds);
   PutI64(out, o.peak_scratch_bytes);
-  PutI64(out, o.resume.next_root);
-  PutU64(out, o.resume.options_hash);
 }
 
 void ReadOutcome(Cursor* c, core::MineOutcome* o) {
   bool truncated = false;
   uint32_t reason = 0;
   c->ReadBool("outcome status", &truncated);
-  c->ReadU32("outcome stop_reason", &reason);
+  c->ReadEnum("outcome stop_reason", kMaxStopReason, &reason);
   c->ReadI64("outcome nodes_visited", &o->nodes_visited);
   c->ReadInt("outcome roots_completed", &o->roots_completed);
   c->ReadInt("outcome roots_total", &o->roots_total);
   c->ReadDouble("outcome wall_seconds", &o->wall_seconds);
   c->ReadI64("outcome peak_scratch_bytes", &o->peak_scratch_bytes);
-  c->ReadInt("outcome next_root", &o->resume.next_root);
-  c->ReadU64("outcome options_hash", &o->resume.options_hash);
   o->status =
       truncated ? core::MineStatus::kTruncated : core::MineStatus::kComplete;
   o->stop_reason = static_cast<util::StopReason>(reason);
 }
 
 void EncodeSweepBody(const SweepCheckpoint& s, std::string* out) {
+  const core::SweepReport& r = s.report;
   PutContext(out, kTagSweepContext, s.grid_hash, s);
   {
     std::string rec;
     PutU32(&rec, kTagSweepAggregate);
     PutI64(&rec, s.first_unfinished);
     PutI64(&rec, s.runs_total);
-    PutU32(&rec, s.truncated);
-    PutU32(&rec, static_cast<uint32_t>(s.stop_reason));
-    PutI64(&rec, s.index_builds);
-    PutI64(&rec, s.shared_model_bytes);
-    PutDouble(&rec, s.wall_seconds);
-    PutU64(&rec, s.runs.size());
+    PutU32(&rec, r.status == core::MineStatus::kTruncated ? 1 : 0);
+    PutU32(&rec, static_cast<uint32_t>(r.stop_reason));
+    PutI64(&rec, r.first_unfinished);
+    PutI64(&rec, r.index_builds);
+    PutI64(&rec, r.shared_model_bytes);
+    PutDouble(&rec, r.wall_seconds);
+    PutU64(&rec, r.runs.size());
     util::AppendRecord(out, rec);
   }
-  for (const SweepRunSnapshot& run : s.runs) {
+  for (size_t i = 0; i < r.runs.size(); ++i) {
+    const core::SweepRun& run = r.runs[i];
     std::string rec;
     PutU32(&rec, kTagSweepRun);
-    PutU32(&rec, static_cast<uint32_t>(run.index));
+    PutU32(&rec, static_cast<uint32_t>(i));
     PutU32(&rec, static_cast<uint32_t>(run.status.code()));
     PutString(&rec, run.status.message());
     PutU32(&rec, run.executed ? 1 : 0);
@@ -97,35 +101,41 @@ void EncodeSweepBody(const SweepCheckpoint& s, std::string* out) {
 util::Status DecodeSweepBody(RecordStream* in, SweepCheckpoint* s) {
   REGCLUSTER_RETURN_IF_ERROR(
       ReadContext(in, kTagSweepContext, &s->grid_hash, s));
+  core::SweepReport& r = s->report;
+  r = core::SweepReport();
   uint64_t run_count = 0;
   {
     auto c = in->Expect(kTagSweepAggregate, "sweep aggregate");
     if (!c.ok()) return c.status();
+    bool truncated = false;
     uint32_t reason = 0;
     c->ReadI64("first_unfinished", &s->first_unfinished);
     c->ReadI64("runs_total", &s->runs_total);
-    c->ReadU32("truncated", &s->truncated);
-    c->ReadU32("stop_reason", &reason);
-    c->ReadI64("index_builds", &s->index_builds);
-    c->ReadI64("shared_model_bytes", &s->shared_model_bytes);
-    c->ReadDouble("wall_seconds", &s->wall_seconds);
+    c->ReadBool("status", &truncated);
+    c->ReadEnum("stop_reason", kMaxStopReason, &reason);
+    c->ReadInt("report first_unfinished", &r.first_unfinished);
+    c->ReadInt("index_builds", &r.index_builds);
+    c->ReadI64("shared_model_bytes", &r.shared_model_bytes);
+    c->ReadDouble("wall_seconds", &r.wall_seconds);
     c->ReadU64("run snapshot count", &run_count);
     REGCLUSTER_RETURN_IF_ERROR(c->Done("sweep aggregate"));
-    s->stop_reason = static_cast<int32_t>(reason);
+    r.status =
+        truncated ? core::MineStatus::kTruncated : core::MineStatus::kComplete;
+    r.stop_reason = static_cast<util::StopReason>(reason);
   }
-  s->runs.clear();
+  core::MinerStats total;
   for (uint64_t i = 0; i < run_count; ++i) {
     auto c = in->Expect(kTagSweepRun, "sweep run");
     if (!c.ok()) return c.status();
-    SweepRunSnapshot run;
+    core::SweepRun run;
     uint32_t index = 0, code = 0;
     std::string message;
     c->ReadU32("run index", &index);
-    c->ReadU32("run status code", &code);
+    c->ReadEnum("run status code", kMaxStatusCode, &code);
     c->ReadString("run status message", &message);
     c->ReadBool("run executed", &run.executed);
     c->ReadBool("run used_shared_model", &run.used_shared_model);
-    ReadMinerStats(&*c, &run.stats);
+    ReadMinerStats(&*c, &run.stats, &total);
     ReadOutcome(&*c, &run.outcome);
     ReadClusters(&*c, &run.clusters);
     REGCLUSTER_RETURN_IF_ERROR(c->Done("sweep run"));
@@ -138,12 +148,16 @@ util::Status DecodeSweepBody(RecordStream* in, SweepCheckpoint* s) {
       return util::Status::Corruption(
           "checkpoint sweep run has an OK status with a message");
     }
-    run.index = static_cast<int32_t>(index);
     if (code != 0) {
       run.status = util::Status(static_cast<util::StatusCode>(code),
                                 std::move(message));
     }
-    s->runs.push_back(std::move(run));
+    if (run.executed) {
+      ++r.runs_executed;
+      r.nodes_total += run.stats.nodes_expanded;
+      r.clusters_total += static_cast<int64_t>(run.clusters.size());
+    }
+    r.runs.push_back(std::move(run));
   }
   // The records cover exactly the points before first_unfinished, or every
   // point once the sweep is complete.
@@ -181,7 +195,7 @@ std::string EncodeCheckpoint(const Checkpoint& ckpt) {
     records = static_cast<uint32_t>(3 + m.ledger.roots.size());
   } else {
     EncodeSweepBody(ckpt.sweep, &out);
-    records = static_cast<uint32_t>(2 + ckpt.sweep.runs.size());
+    records = static_cast<uint32_t>(2 + ckpt.sweep.report.runs.size());
   }
   std::string end;
   PutU32(&end, kTagEnd);
@@ -199,11 +213,12 @@ util::StatusOr<Checkpoint> DecodeCheckpoint(std::string_view bytes) {
   Checkpoint ckpt;
   pre->ReadU32("kind", &kind);
   pre->ReadU64("generation", &ckpt.generation);
-  if (version == kVersionBeforeLedger) {
+  if (version >= 1 && version < kVersion) {
     return util::Status::FailedPrecondition(
-        "checkpoint format version 1 predates the root ledger and cannot be "
-        "resumed; delete the snapshot (and its .a/.b buffers) and restart "
-        "the run");
+        "checkpoint format version " + std::to_string(version) +
+        " is older than this build's version " + std::to_string(kVersion) +
+        " and cannot be resumed; delete the snapshot (and its .a/.b "
+        "buffers) and restart the run");
   }
   if (version != kVersion) {
     return util::Status::Corruption("unsupported checkpoint version " +
@@ -231,7 +246,7 @@ util::StatusOr<Checkpoint> DecodeCheckpoint(std::string_view bytes) {
     body_records = static_cast<uint32_t>(3 + m.ledger.roots.size());
   } else {
     REGCLUSTER_RETURN_IF_ERROR(DecodeSweepBody(&in, &ckpt.sweep));
-    body_records = static_cast<uint32_t>(2 + ckpt.sweep.runs.size());
+    body_records = static_cast<uint32_t>(2 + ckpt.sweep.report.runs.size());
   }
   auto end = in.Expect(kTagEnd, "end");
   if (!end.ok()) return end.status();
@@ -476,7 +491,6 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
   std::shared_ptr<const core::SharedGammaModel> model = options.shared_model;
   DurableMineResult result;
   auto finish = [&](core::MineStatus status, util::StopReason reason,
-                    const core::ResumeToken& token,
                     const core::MineOutcome* last_chunk) {
     result.clusters = ledger.Output();
     // One logical run builds the model once; report it that way (chunks all
@@ -495,7 +509,6 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
     result.outcome.roots_total = data.num_conditions();
     result.outcome.wall_seconds = state.wall_seconds;
     result.outcome.peak_scratch_bytes = state.peak_scratch_bytes;
-    result.outcome.resume = token;
     result.outcome.simd_level = util::simd::CurrentLevel();
     if (last_chunk != nullptr) {
       result.outcome.simd_level = last_chunk->simd_level;
@@ -513,8 +526,7 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
   // result (the dominance pass, when requested, re-runs on the stored raw
   // clusters -- it is deterministic).
   if (resume != nullptr && ledger.complete()) {
-    finish(core::MineStatus::kComplete, util::StopReason::kNone,
-           core::ResumeToken{}, nullptr);
+    finish(core::MineStatus::kComplete, util::StopReason::kNone, nullptr);
     result.checkpoint = writer.stats();
     result.checkpoint_status = writer.last_error();
     return result;
@@ -548,26 +560,28 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
   core::MinerOptions chunk_base = SliceOptions(options);
   chunk_base.shared_model = model;
   chunk_base.capture_root_results = true;
-  core::ResumeToken token;
-  token.next_root = static_cast<int>(ledger.next_root());
-  token.options_hash = ledger.semantic_options_hash;
 
   for (;;) {
     // The user's budgets span the logical run: charge what the ledger
-    // already covers.
+    // already covers (a resume under a smaller budget has none left).
     const core::MinerStats done = ledger.SummedStats();
-    const int64_t nodes_rem = user_nodes == kUnlimited
-                                  ? kUnlimited
-                                  : user_nodes - done.nodes_expanded;
-    const int64_t clusters_rem = user_clusters == kUnlimited
-                                     ? kUnlimited
-                                     : user_clusters - done.clusters_emitted;
+    const int64_t nodes_rem =
+        user_nodes == kUnlimited
+            ? kUnlimited
+            : std::max<int64_t>(0, user_nodes - done.nodes_expanded);
+    const int64_t clusters_rem =
+        user_clusters == kUnlimited
+            ? kUnlimited
+            : std::max<int64_t>(0, user_clusters - done.clusters_emitted);
     const int64_t this_budget = std::min(chunk_budget, nodes_rem);
 
     core::MinerOptions chunk = chunk_base;
     chunk.max_nodes = this_budget == kUnlimited ? -1 : this_budget;
     chunk.max_clusters = clusters_rem == kUnlimited ? -1 : clusters_rem;
-    if (token.next_root > 0) chunk.resume = token;
+    // Resume is a root set: the roots the ledger does not cover yet.
+    const auto first = static_cast<int>(ledger.roots.size());
+    chunk.root_set.resize(static_cast<size_t>(data.num_conditions() - first));
+    std::iota(chunk.root_set.begin(), chunk.root_set.end(), first);
     if (options.deadline_ms >= 0) {
       chunk.deadline_ms =
           std::max(0.0, options.deadline_ms - run_timer.ElapsedMillis());
@@ -589,13 +603,11 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
         std::max(state.peak_scratch_bytes, oc.peak_scratch_bytes);
 
     if (oc.status == core::MineStatus::kComplete) {
-      finish(core::MineStatus::kComplete, util::StopReason::kNone,
-             core::ResumeToken{}, &oc);
+      finish(core::MineStatus::kComplete, util::StopReason::kNone, &oc);
       result.checkpoint_status = writer.WriteNow(snapshot(true));
       result.checkpoint = writer.stats();
       return result;
     }
-    token = oc.resume;
 
     const bool hard = util::IsHardStop(oc.stop_reason);
     // A soft stop is *final* when the chunk's budget already was the user's
@@ -606,7 +618,7 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
     const bool user_cluster_cut =
         oc.stop_reason == util::StopReason::kClusterBudget;
     if (hard || user_node_cut || user_cluster_cut) {
-      finish(core::MineStatus::kTruncated, oc.stop_reason, token, &oc);
+      finish(core::MineStatus::kTruncated, oc.stop_reason, &oc);
       result.checkpoint_status = writer.WriteNow(snapshot(true));
       result.checkpoint = writer.stats();
       return result;
@@ -651,106 +663,55 @@ util::StatusOr<DurableSweepResult> RunCheckpointedSweep(
         ValidateSweepCheckpoint(*resume, data, points));
   }
 
-  SweepCheckpoint state;
-  state.grid_hash = HashSweepGrid(points);
-  state.matrix_hash = HashMatrixContent(data);
-  state.num_genes = data.num_genes();
-  state.num_conditions = data.num_conditions();
-  state.first_unfinished = 0;
-  state.runs_total = static_cast<int64_t>(points.size());
-  if (resume != nullptr) state = *resume;
+  // Every snapshot carries this identity plus a copy of the report.
+  SweepCheckpoint identity;
+  identity.grid_hash = HashSweepGrid(points);
+  identity.matrix_hash = HashMatrixContent(data);
+  identity.num_genes = data.num_genes();
+  identity.num_conditions = data.num_conditions();
+  identity.runs_total = static_cast<int64_t>(points.size());
 
   CheckpointWriter writer(config.path, config.next_generation,
                           config.synchronous);
   if (resume != nullptr) writer.NoteResume();
 
+  // The report starts as the snapshot's covered prefix.
   DurableSweepResult result;
   core::SweepReport& report = result.report;
+  if (resume != nullptr) report = resume->report;
   report.runs.resize(points.size());
   for (size_t i = 0; i < points.size(); ++i) {
     report.runs[i].options = points[i];
   }
-
-  // Replay the snapshot prefix into the report.
-  for (const SweepRunSnapshot& snap : state.runs) {
-    if (snap.index < 0 ||
-        snap.index >= static_cast<int32_t>(report.runs.size())) {
-      return util::Status::Corruption(
-          "checkpoint sweep run index out of range");
-    }
-    core::SweepRun& run = report.runs[snap.index];
-    run.status = snap.status;
-    run.executed = snap.executed;
-    run.used_shared_model = snap.used_shared_model;
-    run.stats = snap.stats;
-    run.outcome = snap.outcome;
-    run.clusters = snap.clusters;
-    if (run.executed) {
-      ++report.runs_executed;
-      report.nodes_total += run.stats.nodes_expanded;
-      report.clusters_total += static_cast<int64_t>(run.clusters.size());
-    }
-  }
-  report.index_builds = static_cast<int>(state.index_builds);
-  report.shared_model_bytes = state.shared_model_bytes;
-  report.wall_seconds = state.wall_seconds;
+  const double prior_wall_seconds = report.wall_seconds;
 
   // Snapshot of the points before `first_unfinished` (every point at -1).
   auto snapshot = [&](int64_t first_unfinished) {
-    state.first_unfinished = first_unfinished;
-    state.index_builds = report.index_builds;
-    state.shared_model_bytes = report.shared_model_bytes;
-    state.runs.clear();
-    const int64_t covered = first_unfinished < 0
-                                ? static_cast<int64_t>(points.size())
-                                : first_unfinished;
-    for (int64_t i = 0; i < covered; ++i) {
-      const core::SweepRun& run = report.runs[static_cast<size_t>(i)];
-      SweepRunSnapshot snap;
-      snap.index = static_cast<int32_t>(i);
-      snap.status = run.status;
-      snap.executed = run.executed;
-      snap.used_shared_model = run.used_shared_model;
-      snap.stats = run.stats;
-      snap.outcome = run.outcome;
-      snap.clusters = run.clusters;
-      state.runs.push_back(std::move(snap));
-    }
     Checkpoint ckpt;
     ckpt.kind = CheckpointKind::kSweep;
-    ckpt.sweep = state;
+    ckpt.sweep = identity;
+    ckpt.sweep.first_unfinished = first_unfinished;
+    ckpt.sweep.report = report;
+    ckpt.sweep.report.wall_seconds =
+        prior_wall_seconds + run_timer.ElapsedSeconds();
+    if (first_unfinished >= 0) {
+      ckpt.sweep.report.runs.resize(static_cast<size_t>(first_unfinished));
+    }
     return ckpt;
   };
 
-  auto finish = [&](bool truncated, util::StopReason reason,
-                    int64_t first_unfinished) -> util::Status {
-    report.status =
-        truncated ? core::MineStatus::kTruncated : core::MineStatus::kComplete;
+  auto finish = [&](core::MineStatus status, util::StopReason reason,
+                    int first_unfinished) {
+    report.status = status;
     report.stop_reason = reason;
-    report.first_unfinished = static_cast<int>(first_unfinished);
-    report.wall_seconds = state.wall_seconds + run_timer.ElapsedSeconds();
-    state.truncated = truncated ? 1 : 0;
-    state.stop_reason = static_cast<int32_t>(reason);
-    state.wall_seconds = report.wall_seconds;
-    return writer.WriteNow(snapshot(-1));
+    report.first_unfinished = first_unfinished;
+    report.wall_seconds = prior_wall_seconds + run_timer.ElapsedSeconds();
+    result.checkpoint_status = writer.WriteNow(snapshot(-1));
+    result.checkpoint = writer.stats();
   };
 
   // A snapshot that says "complete" short-circuits to the stored report.
-  if (state.complete()) {
-    report.status = state.truncated != 0 ? core::MineStatus::kTruncated
-                                         : core::MineStatus::kComplete;
-    report.stop_reason = static_cast<util::StopReason>(state.stop_reason);
-    report.first_unfinished = -1;
-    // Recover the truncation boundary for the report: the first point with
-    // no verdict.  A complete sweep keeps -1.
-    if (state.truncated != 0) {
-      for (size_t i = 0; i < report.runs.size(); ++i) {
-        if (!report.runs[i].executed && report.runs[i].status.ok()) {
-          report.first_unfinished = static_cast<int>(i);
-          break;
-        }
-      }
-    }
+  if (resume != nullptr && resume->complete()) {
     result.checkpoint = writer.stats();
     result.checkpoint_status = writer.last_error();
     return result;
@@ -776,11 +737,12 @@ util::StatusOr<DurableSweepResult> RunCheckpointedSweep(
   // makes it possible and gives kill-invariant group boundaries.
   auto same_group = [](const core::MinerOptions& a,
                        const core::MinerOptions& b) {
-    return a.gamma_policy == b.gamma_policy &&
-           std::bit_cast<uint64_t>(a.gamma) == std::bit_cast<uint64_t>(b.gamma);
+    return core::SameGammaSpec({a.gamma_policy, a.gamma},
+                               {b.gamma_policy, b.gamma});
   };
 
-  size_t start = static_cast<size_t>(state.first_unfinished);
+  size_t start =
+      resume != nullptr ? static_cast<size_t>(resume->first_unfinished) : 0;
   while (start < points.size()) {
     size_t end = start + 1;
     while (end < points.size() && same_group(points[end], points[start])) {
@@ -789,9 +751,13 @@ util::StatusOr<DurableSweepResult> RunCheckpointedSweep(
 
     core::SweepOptions group_opts = sweep_options;
     group_opts.max_nodes =
-        user_nodes == kUnlimited ? -1 : user_nodes - consumed_nodes;
+        user_nodes == kUnlimited
+            ? -1
+            : std::max<int64_t>(0, user_nodes - consumed_nodes);
     group_opts.max_clusters =
-        user_clusters == kUnlimited ? -1 : user_clusters - consumed_clusters;
+        user_clusters == kUnlimited
+            ? -1
+            : std::max<int64_t>(0, user_clusters - consumed_clusters);
     if (sweep_options.deadline_ms >= 0) {
       group_opts.deadline_ms = std::max(
           0.0, sweep_options.deadline_ms - run_timer.ElapsedMillis());
@@ -824,24 +790,18 @@ util::StatusOr<DurableSweepResult> RunCheckpointedSweep(
     report.shared_model_bytes += group_report->shared_model_bytes;
 
     if (group_report->status == core::MineStatus::kTruncated) {
-      const int64_t absolute =
-          static_cast<int64_t>(start) + group_report->first_unfinished;
-      result.checkpoint_status =
-          finish(true, group_report->stop_reason, absolute);
-      result.checkpoint = writer.stats();
+      finish(core::MineStatus::kTruncated, group_report->stop_reason,
+             static_cast<int>(start) + group_report->first_unfinished);
       return result;
     }
 
     start = end;
     if (start < points.size()) {
       // Group finished, more to go: snapshot at the boundary.
-      state.wall_seconds = report.wall_seconds + run_timer.ElapsedSeconds();
       writer.Submit(snapshot(static_cast<int64_t>(start)));
     }
   }
-
-  result.checkpoint_status = finish(false, util::StopReason::kNone, -1);
-  result.checkpoint = writer.stats();
+  finish(core::MineStatus::kComplete, util::StopReason::kNone, -1);
   return result;
 }
 

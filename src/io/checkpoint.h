@@ -1,36 +1,35 @@
 // Durable checkpoint/restart for mines and sweeps.
 //
 // A long mine that dies to a crash, OOM kill or preemption would otherwise
-// lose everything: ResumeToken splicing only exists in-process.  This
-// module makes the run durable.  A checkpoint is a versioned binary
-// snapshot (magic `RGCXCKP1`, format version 2) of everything needed to
-// continue a run in a fresh process.  A mine snapshot is the run's
-// io::RootLedger -- identity plus the per-root slices of the covered root
-// prefix -- and a progress record of volatile telemetry; a sweep snapshot
-// is the completed-run prefix plus `first_unfinished`.  Snapshots are
-// written with the atomic-replace + CRC32C framing of util/durable_file.h,
-// double-buffered as `PATH.a` / `PATH.b` under a generation counter, so at
-// every instant at least one complete valid snapshot exists on disk; the
-// loader picks the newest valid buffer and falls back to the other when a
-// crash tore the in-flight write.
+// lose everything.  This module makes the run durable.  A checkpoint is a
+// versioned binary snapshot (magic `RGCXCKP1`, format version 3) of
+// everything needed to continue a run in a fresh process.  A mine snapshot
+// is the run's io::RootLedger -- identity plus the per-root slices of the
+// covered root prefix -- and a progress record of volatile telemetry; a
+// sweep snapshot is the core::SweepReport of the completed points plus
+// `first_unfinished`.  Snapshots are written with the atomic-replace +
+// CRC32C framing of util/durable_file.h, double-buffered as `PATH.a` /
+// `PATH.b` under a generation counter, so at every instant at least one
+// complete valid snapshot exists on disk; the loader picks the newest valid
+// buffer and falls back to the other when a crash tore the in-flight write.
 //
 // Execution model ("chunked mining"): rather than snapshotting DFS internals
 // mid-flight, RunCheckpointedMine drives the existing deterministic
-// machinery -- a sequence of Mine() calls, each truncated at a canonical
-// root boundary by a per-chunk node budget adapted to the requested
-// checkpoint cadence, spliced via ResumeToken.  Each chunk captures its
-// roots' slices into the ledger.  Root slices are independent of each
-// other, so the final clusters *and* the deterministic counters of a
-// killed-and-resumed run are byte-identical to an uninterrupted one
-// regardless of where the kill landed, and a complete ledger equals the
-// one io::MineInitial records.  Snapshots are encoded and written off the
-// mining hot path on a dedicated writer thread (latest-wins; the final
-// snapshot of a run is always written synchronously).
+// machinery -- a sequence of Mine() calls over root_set = the roots the
+// ledger does not cover yet, each truncated at a root boundary by a
+// per-chunk node budget adapted to the requested checkpoint cadence.  Each
+// chunk appends its roots' slices to the ledger.  Root slices are
+// independent of each other, so the final clusters *and* the deterministic
+// counters of a killed-and-resumed run are byte-identical to an
+// uninterrupted one regardless of where the kill landed, and a complete
+// ledger equals the one io::MineInitial records.  Snapshots are encoded and
+// written off the mining hot path on a dedicated writer thread (latest-wins;
+// the final snapshot of a run is always written synchronously).
 //
 // Every malformed on-disk shape is rejected with a distinct kCorruption
 // status (mirroring the matrix-store hardening); semantic mismatches
-// (different options, different matrix, stale generation, a version-1
-// snapshot from before the ledger) are kFailedPrecondition.
+// (different options, different matrix, stale generation, a snapshot of an
+// older format version) are kFailedPrecondition.
 // tests/io/checkpoint_test.cc and the process-level kill harness
 // tests/integration/crash_harness.cc enforce the contract.
 
@@ -88,21 +87,10 @@ struct MineCheckpoint {
   bool complete() const { return ledger.complete(); }
 };
 
-/// One completed (or per-point-failed) grid point inside a SweepCheckpoint.
-struct SweepRunSnapshot {
-  int32_t index = 0;  ///< position in the sweep's point list
-  util::Status status;
-  bool executed = false;
-  bool used_shared_model = false;
-  core::MinerStats stats;
-  core::MineOutcome outcome;
-  std::vector<core::RegCluster> clusters;
-};
-
 /// Snapshot of a (possibly unfinished) sweep.  Progress is tracked at gamma-
 /// group boundaries (maximal consecutive points sharing gamma_policy+gamma):
-/// `runs` covers every point before `first_unfinished` and a kill mid-group
-/// re-runs only that group.
+/// `report` covers every point before `first_unfinished` and a kill
+/// mid-group re-runs only that group.
 struct SweepCheckpoint {
   /// HashSweepGrid over the expanded point list; a resume re-parses the
   /// --sweep spec and must land on the same grid.
@@ -111,19 +99,15 @@ struct SweepCheckpoint {
   int64_t num_genes = 0;
   int64_t num_conditions = 0;
   uint32_t flags = 0;
-  /// First point index not covered by `runs`; -1 when every point was
+  /// First point index not covered by `report`; -1 when every point was
   /// attempted (the sweep finished, possibly truncated by its own budgets).
   int64_t first_unfinished = 0;
   int64_t runs_total = 0;
-  /// Final sweep status, meaningful when complete(): 0 = complete,
-  /// 1 = truncated, plus the util::StopReason that cut it.
-  uint32_t truncated = 0;
-  int32_t stop_reason = 0;
-  /// Accumulated engine aggregates over the covered groups.
-  int64_t index_builds = 0;
-  int64_t shared_model_bytes = 0;
-  double wall_seconds = 0.0;
-  std::vector<SweepRunSnapshot> runs;
+  /// The report so far: one run per covered point (its `options` are not
+  /// stored -- a resume re-derives them from the spec) and the aggregates
+  /// accumulated over the covered groups.  Its status, stop_reason and
+  /// first_unfinished are final once complete().
+  core::SweepReport report;
 
   bool complete() const { return first_unfinished < 0; }
 };
@@ -142,15 +126,19 @@ struct Checkpoint {
 /// records (util::AppendRecord) and a count-bearing end record.  A mine
 /// body is the ledger's records then a progress record; a sweep body is a
 /// context record, an aggregate record and one record per covered point.
+/// SweepReport's runs_executed, nodes_total and clusters_total are derived
+/// from the run records on decode, not stored.
 std::string EncodeCheckpoint(const Checkpoint& ckpt);
 
 /// Inverse of EncodeCheckpoint.  Every malformed shape is a distinct
 /// kCorruption: short preamble, bad magic, unsupported version, endianness
 /// mismatch, unknown kind, torn/truncated/bit-flipped records (via
 /// util::RecordReader), missing or out-of-order records, sweep run records
-/// out of order or disagreeing with first_unfinished, record-count
-/// mismatch, trailing bytes.  A version-1 snapshot (written before the
-/// root ledger) is kFailedPrecondition: delete it and restart the run.
+/// out of order or disagreeing with first_unfinished, field values outside
+/// their domain (status codes, stop reasons, negative or overflowing
+/// counters), record-count mismatch, trailing bytes.  A version-1 or
+/// version-2 snapshot is kFailedPrecondition: delete it and restart the
+/// run.
 util::StatusOr<Checkpoint> DecodeCheckpoint(std::string_view bytes);
 
 /// The double-buffer file a given generation lands in: `base` + ".a" for
@@ -267,9 +255,9 @@ struct DurableMineResult {
 /// Runs a mine in resumable chunks, snapshotting progress to
 /// `config.path`.  `resume` (may be null) is a previously loaded snapshot:
 /// its ledger is checked against (data, options) and the run continues
-/// from its next_root (options.root_set is rejected: the ledger covers the
-/// roots in order).  The clusters and every deterministic MinerStats counter
-/// are byte-identical to an uninterrupted RegClusterMiner::Mine() under
+/// by mining root_set = [next_root, C) (options.root_set is rejected: the
+/// ledger covers the roots in order).  The clusters and every deterministic
+/// MinerStats counter are byte-identical to an uninterrupted Mine() under
 /// `options` at any kill/resume pattern and any thread count.
 util::StatusOr<DurableMineResult> RunCheckpointedMine(
     const matrix::MatrixStore& data, const core::MinerOptions& options,

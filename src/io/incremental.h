@@ -78,7 +78,7 @@ struct IncrementalMineResult {
 /// recording every root's slice.  The clusters and stats are byte-identical
 /// to a plain RegClusterMiner::Mine() under the same options.  Rejects
 /// (InvalidArgument) options the incremental contract cannot splice:
-/// budgets, deadline, memory limit, cancel token, resume, root_set,
+/// budgets, deadline, memory limit, cancel token, root_set,
 /// capture_root_results, shared_model, and out-of-core model_cache_bytes.
 util::StatusOr<IncrementalMineResult> MineInitial(
     const matrix::MatrixStore& data, const core::MinerOptions& options);

@@ -110,8 +110,8 @@ util::Status WriteClustersJson(const std::vector<core::RegCluster>& clusters,
         << ",\n    \"roots_total\": " << outcome->roots_total
         << ",\n    \"wall_seconds\": " << outcome->wall_seconds
         << ",\n    \"peak_scratch_bytes\": " << outcome->peak_scratch_bytes
-        << ",\n    \"resume_next_root\": " << outcome->resume.next_root
-        << ",\n    \"resume_options_hash\": " << outcome->resume.options_hash
+        << ",\n    \"resume_next_root\": "
+        << (truncated ? outcome->roots_completed : -1)
         << ",\n    \"simd\": \""
         << util::simd::LevelName(outcome->simd_level) << "\"\n  },\n";
   }

@@ -9,7 +9,7 @@
 //                      "node_budget"|"cluster_budget",
 //       "nodes_visited": N, "roots_completed": R, "roots_total": T,
 //       "wall_seconds": S, "peak_scratch_bytes": B,
-//       "resume_next_root": -1|r, "resume_options_hash": H
+//       "resume_next_root": -1|r     // r = roots_completed if truncated
 //     },
 //     "stats": {                       // only when MinerStats is supplied
 //       "nodes_expanded": N, "extensions_tested": N,

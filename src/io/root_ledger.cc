@@ -135,9 +135,15 @@ void Cursor::ReadDouble(const char* field, double* v) {
 }
 
 void Cursor::ReadBool(const char* field, bool* v) {
-  const uint64_t x = ReadLE(field, 4);
-  if (x > 1) Fail(field, "non-boolean");
+  uint32_t x = 0;
+  ReadEnum(field, 1, &x);
   if (ok()) *v = x != 0;
+}
+
+void Cursor::ReadEnum(const char* field, uint32_t max, uint32_t* v) {
+  const uint64_t x = ReadLE(field, 4);
+  if (x > max) Fail(field, "out-of-range");
+  if (ok()) *v = static_cast<uint32_t>(x);
 }
 
 void Cursor::ReadString(const char* field, std::string* v) {
@@ -212,9 +218,14 @@ void PutMinerStats(std::string* out, const core::MinerStats& s) {
   for (const auto& [name, field] : kStatsSeconds) PutDouble(out, s.*field);
 }
 
-void ReadMinerStats(Cursor* c, core::MinerStats* s) {
+void ReadMinerStats(Cursor* c, core::MinerStats* s,
+                    core::MinerStats* total) {
   for (const auto& [name, field] : kStatsCounters) {
     c->ReadI64(name, &(s->*field));
+    if (s->*field < 0 ||
+        __builtin_add_overflow(total->*field, s->*field, &(total->*field))) {
+      c->Fail(name, "out-of-range");
+    }
   }
   for (const auto& [name, field] : kStatsSeconds) {
     c->ReadDouble(name, &(s->*field));
@@ -347,6 +358,7 @@ util::Status DecodeLedgerRecords(RecordStream* in, RootLedger* ledger) {
   REGCLUSTER_RETURN_IF_ERROR(ReadContext(
       in, kTagContext, &ledger->semantic_options_hash, ledger));
   ledger->roots.clear();
+  core::MinerStats total;
   for (;;) {
     uint32_t tag = 0;
     auto c = in->Next("root or end", &tag);
@@ -373,7 +385,7 @@ util::Status DecodeLedgerRecords(RecordStream* in, RootLedger* ledger) {
     }
     core::RootMineResult slice;
     slice.root = static_cast<int>(root);
-    ReadMinerStats(&*c, &slice.stats);
+    ReadMinerStats(&*c, &slice.stats, &total);
     ReadClusters(&*c, &slice.clusters);
     REGCLUSTER_RETURN_IF_ERROR(c->Done("root"));
     ledger->roots.push_back(std::move(slice));

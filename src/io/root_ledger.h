@@ -53,10 +53,15 @@ class Cursor {
   void ReadInt(const char* field, int* v);  ///< an i64 that must fit an int
   void ReadDouble(const char* field, double* v);
   void ReadBool(const char* field, bool* v);  ///< a u32 that must be 0 or 1
+  /// A u32 that must be <= max (an enum's wire value).
+  void ReadEnum(const char* field, uint32_t max, uint32_t* v);
   void ReadString(const char* field, std::string* v);
   void ReadIntVector(const char* field, std::vector<int>* v);
 
   bool ok() const { return status_.ok(); }
+  /// Records a kCorruption for a `what` (e.g. "out-of-range") `field`,
+  /// unless an earlier error already did.
+  void Fail(const char* field, const char* what);
   /// The first read error, else kCorruption unless the whole payload of
   /// `record` was consumed.
   util::Status Done(const char* record) const;
@@ -65,7 +70,6 @@ class Cursor {
  private:
   bool Need(const char* field, uint64_t bytes);
   uint64_t ReadLE(const char* field, int bytes);
-  void Fail(const char* field, const char* what);
 
   std::string_view data_;
   size_t pos_ = 0;
@@ -129,9 +133,12 @@ util::Status ReadContext(RecordStream* in, uint32_t tag, uint64_t* hash,
   return c->Done("context");
 }
 
-/// MinerStats: 13 i64 counters then 3 doubles, in declaration order.
+/// MinerStats: 13 i64 counters then 3 doubles, in declaration order.  On
+/// read, a negative counter is corruption, and so is one that overflows
+/// `*total`, the running sum of the records decoded so far: drivers sum
+/// and subtract these counters from user budgets.
 void PutMinerStats(std::string* out, const core::MinerStats& s);
-void ReadMinerStats(Cursor* c, core::MinerStats* s);
+void ReadMinerStats(Cursor* c, core::MinerStats* s, core::MinerStats* total);
 
 /// Clusters: u64 count, then per cluster chain, p_genes and n_genes, each a
 /// u32 count and u32 values.
@@ -198,7 +205,8 @@ void EncodeLedgerRecords(const RootLedger& ledger, std::string* out);
 
 /// Reads the records EncodeLedgerRecords wrote.  Malformed shapes (missing
 /// or out-of-order records, roots out of order or past num_conditions, a
-/// root count that disagrees with the records) are kCorruption.
+/// root count that disagrees with the records, counters ReadMinerStats
+/// rejects) are kCorruption.
 util::Status DecodeLedgerRecords(RecordStream* in, RootLedger* ledger);
 
 /// FNV-128 content hash of the first `cols` conditions of a matrix (all of

@@ -1,5 +1,6 @@
 #include "server/resource_cache.h"
 
+#include <bit>
 #include <utility>
 
 #include "io/root_ledger.h"
@@ -10,18 +11,15 @@ namespace regcluster {
 namespace server {
 
 bool ResourceCache::ModelKey::operator==(const ModelKey& o) const {
-  return matrix_hash == o.matrix_hash && policy == o.policy &&
-         gamma == o.gamma;
+  return matrix_hash == o.matrix_hash && core::SameGammaSpec(spec, o.spec);
 }
 
 size_t ResourceCache::ModelKeyHasher::operator()(const ModelKey& k) const {
   size_t h = util::Hash128Hasher()(k.matrix_hash);
-  h ^= static_cast<size_t>(k.policy) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-       (h >> 2);
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(k.gamma));
-  __builtin_memcpy(&bits, &k.gamma, sizeof(bits));
-  h ^= static_cast<size_t>(bits) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  h ^= static_cast<size_t>(k.spec.policy) + 0x9e3779b97f4a7c15ULL +
+       (h << 6) + (h >> 2);
+  h ^= static_cast<size_t>(std::bit_cast<uint64_t>(k.spec.gamma)) +
+       0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   return h;
 }
 
@@ -85,8 +83,7 @@ ResourceCache::GetModel(const std::shared_ptr<const MatrixHandle>& handle,
   std::lock_guard<std::mutex> lock(mu_);
   ModelKey key;
   key.matrix_hash = handle->content_hash;
-  key.policy = spec.policy;
-  key.gamma = spec.gamma;
+  key.spec = spec;
   if (auto it = by_model_.find(key); it != by_model_.end()) {
     if (it->second->model->max_chain_need >= max_chain_need) {
       ++stats_.model_hits;

@@ -120,8 +120,7 @@ class ResourceCache {
  private:
   struct ModelKey {
     util::Hash128 matrix_hash{0, 0};
-    core::GammaPolicy policy = core::GammaPolicy::kRangeFraction;
-    double gamma = 0.0;
+    core::GammaSpec spec;
     bool operator==(const ModelKey& o) const;
   };
   struct ModelKeyHasher {

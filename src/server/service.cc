@@ -377,19 +377,12 @@ ServiceResponse MiningService::ExecuteSweep(const MineRequest& request) {
   for (size_t i = 0; i < points->size(); ++i) {
     const core::MinerOptions& p = (*points)[i];
     if (!ValidateMineOptions(p, *(*handle)->store).ok()) continue;
+    const core::GammaSpec spec{p.gamma_policy, p.gamma};
     size_t g = 0;
-    for (; g < groups.size(); ++g) {
-      if (groups[g].first.policy == p.gamma_policy &&
-          groups[g].first.gamma == p.gamma) {
-        break;
-      }
+    while (g < groups.size() && !core::SameGammaSpec(groups[g].first, spec)) {
+      ++g;
     }
-    if (g == groups.size()) {
-      core::GammaSpec spec;
-      spec.policy = p.gamma_policy;
-      spec.gamma = p.gamma;
-      groups.emplace_back(spec, p.min_conditions);
-    }
+    if (g == groups.size()) groups.emplace_back(spec, p.min_conditions);
     groups[g].second = std::max(groups[g].second, p.min_conditions);
     group_of[i] = static_cast<int>(g);
   }

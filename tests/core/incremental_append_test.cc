@@ -1007,10 +1007,9 @@ Checkpoint SweepCheckpointForFuzz(const IncrementalState& state) {
   s.num_conditions = state.num_conditions;
   s.first_unfinished = 2;
   s.runs_total = 3;
-  s.index_builds = 1;
-  s.wall_seconds = 1.5;
-  SweepRunSnapshot ok_run;
-  ok_run.index = 0;
+  s.report.index_builds = 1;
+  s.report.wall_seconds = 1.5;
+  core::SweepRun ok_run;
   ok_run.executed = true;
   ok_run.used_shared_model = true;
   ok_run.stats = state.roots[0].stats;
@@ -1018,12 +1017,10 @@ Checkpoint SweepCheckpointForFuzz(const IncrementalState& state) {
   ok_run.outcome.stop_reason = util::StopReason::kNodeBudget;
   ok_run.outcome.roots_completed = 1;
   ok_run.outcome.roots_total = 6;
-  ok_run.outcome.resume.next_root = 1;
   ok_run.clusters = state.roots[0].clusters;
-  SweepRunSnapshot failed_run;
-  failed_run.index = 1;
+  core::SweepRun failed_run;
   failed_run.status = util::Status::InvalidArgument("gamma out of range");
-  s.runs = {ok_run, failed_run};
+  s.report.runs = {ok_run, failed_run};
   return ckpt;
 }
 

@@ -1,11 +1,13 @@
 // The budget layer's partial-result contract: a truncated Mine() returns OK
 // with a *canonical prefix* of the unbudgeted output -- the same prefix for
-// any thread count when the stop is a deterministic count budget -- and its
-// ResumeToken continues the search such that the concatenation is
-// bit-identical to the unbudgeted run.
+// any thread count when the stop is a deterministic count budget -- and
+// mining the roots it did not include (root_set) continues the search such
+// that the concatenation is bit-identical to the unbudgeted run.
 
 #include <cstdint>
 #include <memory>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -64,6 +66,14 @@ const ReferenceRun& Reference() {
   return *ref;
 }
 
+/// The resume set of a truncated run that included roots [0, first).
+std::vector<int> RootsFrom(int first) {
+  std::vector<int> roots(
+      static_cast<size_t>(TestData().num_conditions() - first));
+  std::iota(roots.begin(), roots.end(), first);
+  return roots;
+}
+
 bool IsPrefixOf(const std::vector<RegCluster>& prefix,
                 const std::vector<RegCluster>& full) {
   if (prefix.size() > full.size()) return false;
@@ -81,7 +91,6 @@ TEST(MinerBudgetTest, CompleteRunOutcomeContract) {
   EXPECT_EQ(outcome.stop_reason, util::StopReason::kNone);
   EXPECT_EQ(outcome.roots_completed, outcome.roots_total);
   EXPECT_EQ(outcome.roots_total, data.num_conditions());
-  EXPECT_FALSE(outcome.resume.can_resume());
   EXPECT_GT(outcome.nodes_visited, 0);
   EXPECT_GE(outcome.wall_seconds, 0.0);
   // On a complete run the visited total (all work, including any that a
@@ -116,9 +125,7 @@ TEST_P(NodeBudgetSweep, PrefixIdenticalAcrossThreadCounts) {
     EXPECT_TRUE(IsPrefixOf(*clusters, reference)) << "threads=" << threads;
     if (outcome.status == MineStatus::kTruncated) {
       EXPECT_EQ(outcome.stop_reason, util::StopReason::kNodeBudget);
-      EXPECT_TRUE(outcome.resume.can_resume());
       EXPECT_LT(outcome.roots_completed, outcome.roots_total);
-      EXPECT_EQ(outcome.resume.next_root, outcome.roots_completed);
     } else {
       EXPECT_EQ(*clusters, reference);
       // A non-binding budget changes no search work: the deterministic node
@@ -135,7 +142,6 @@ TEST_P(NodeBudgetSweep, PrefixIdenticalAcrossThreadCounts) {
       EXPECT_EQ(*clusters, first_out) << "threads=" << threads;
       EXPECT_EQ(outcome.status, first_outcome.status);
       EXPECT_EQ(outcome.roots_completed, first_outcome.roots_completed);
-      EXPECT_EQ(outcome.resume.next_root, first_outcome.resume.next_root);
     }
   }
 }
@@ -192,10 +198,10 @@ TEST(MinerBudgetTest, ResumeConcatenationIsBitIdentical) {
   auto head = first.Mine();
   ASSERT_TRUE(head.ok());
   ASSERT_EQ(first.outcome().status, MineStatus::kTruncated);
-  ASSERT_TRUE(first.outcome().resume.can_resume());
+  ASSERT_LT(first.outcome().roots_completed, first.outcome().roots_total);
 
   MinerOptions rest = BaseOptions();  // unbudgeted continuation
-  rest.resume = first.outcome().resume;
+  rest.root_set = RootsFrom(first.outcome().roots_completed);
   RegClusterMiner second(data, rest);
   auto tail = second.Mine();
   ASSERT_TRUE(tail.ok());
@@ -217,7 +223,7 @@ TEST(MinerBudgetTest, ResumeChainOfBudgetedRunsReconstructsReference) {
   const auto& reference = Reference().clusters;
 
   std::vector<RegCluster> spliced;
-  ResumeToken token;
+  int next_root = 0;
   int hops = 0;
   int64_t budget = 500;
   int64_t nodes_accounted = 0;
@@ -225,7 +231,7 @@ TEST(MinerBudgetTest, ResumeChainOfBudgetedRunsReconstructsReference) {
     MinerOptions o = BaseOptions();
     o.max_nodes = budget;
     o.num_threads = (hops % 2 == 0) ? 1 : 4;
-    o.resume = token;
+    o.root_set = RootsFrom(next_root);
     RegClusterMiner miner(data, o);
     auto part = miner.Mine();
     ASSERT_TRUE(part.ok()) << "hop " << hops;
@@ -234,12 +240,9 @@ TEST(MinerBudgetTest, ResumeChainOfBudgetedRunsReconstructsReference) {
     if (miner.outcome().status == MineStatus::kComplete) break;
     // A hop whose budget is smaller than its next root's subtree completes
     // zero roots; double the budget so the chain always terminates.
-    if (miner.outcome().resume.next_root == token.next_root ||
-        (token.next_root < 0 && miner.outcome().resume.next_root == 0)) {
-      budget *= 2;
-    }
-    token = miner.outcome().resume;
-    ASSERT_TRUE(token.can_resume());
+    if (miner.outcome().roots_completed == 0) budget *= 2;
+    next_root += miner.outcome().roots_completed;
+    ASSERT_LT(next_root, data.num_conditions());
     ASSERT_LE(++hops, 1000) << "resume chain failed to make progress";
   }
   EXPECT_GE(hops, 1);  // the budget actually bit
@@ -248,25 +251,10 @@ TEST(MinerBudgetTest, ResumeChainOfBudgetedRunsReconstructsReference) {
   EXPECT_EQ(nodes_accounted, Reference().stats.nodes_expanded);
 }
 
-TEST(MinerBudgetTest, ResumeUnderDifferentSemanticsRejected) {
-  const auto& data = TestData();
-  MinerOptions budgeted = BaseOptions();
-  budgeted.max_nodes = 300;
-  RegClusterMiner first(data, budgeted);
-  ASSERT_TRUE(first.Mine().ok());
-  ASSERT_TRUE(first.outcome().resume.can_resume());
-
-  MinerOptions other = BaseOptions();
-  other.min_genes += 1;  // semantically different search
-  other.resume = first.outcome().resume;
-  auto result = RegClusterMiner(data, other).Mine();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
-}
-
 TEST(MinerBudgetTest, ResumeWithRemoveDominatedRejected) {
-  // remove_dominated is a global post-pass; splicing per-root prefixes under
-  // it would not be bit-identical, so the combination is refused outright.
+  // remove_dominated is a global post-pass; splicing root slices under it
+  // would not be bit-identical, so root_set + remove_dominated is refused
+  // outright.
   const auto& data = TestData();
   MinerOptions budgeted = BaseOptions();
   budgeted.max_nodes = 300;
@@ -275,10 +263,12 @@ TEST(MinerBudgetTest, ResumeWithRemoveDominatedRejected) {
 
   MinerOptions rest = BaseOptions();
   rest.remove_dominated = true;
-  rest.resume = first.outcome().resume;
-  // The hash covers semantic fields, so this already fails the hash check;
-  // assert the rejection regardless of which validation fires.
-  EXPECT_FALSE(RegClusterMiner(data, rest).Mine().ok());
+  rest.root_set = RootsFrom(first.outcome().roots_completed);
+  auto result = RegClusterMiner(data, rest).Mine();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("remove_dominated"),
+            std::string::npos);
 }
 
 TEST(MinerBudgetTest, SemanticHashIgnoresExecutionKnobs) {
@@ -324,7 +314,7 @@ TEST(MinerBudgetTest, PreCancelledTokenStopsBeforeAnyRoot) {
   EXPECT_TRUE(clusters->empty());
   EXPECT_EQ(miner.outcome().status, MineStatus::kTruncated);
   EXPECT_EQ(miner.outcome().stop_reason, util::StopReason::kCancelled);
-  EXPECT_EQ(miner.outcome().resume.next_root, 0);
+  EXPECT_EQ(miner.outcome().roots_completed, 0);
 }
 
 TEST(MinerBudgetTest, TinyMemoryLimitTripsMemoryBudget) {
@@ -343,11 +333,28 @@ TEST(MinerBudgetTest, TinyMemoryLimitTripsMemoryBudget) {
 }
 
 TEST(MinerBudgetTest, BadResumeRootRejected) {
+  // Resume is a root set: out-of-range, unsorted and duplicate roots are
+  // refused before any work.
   const auto& data = TestData();
-  MinerOptions o = BaseOptions();
-  o.resume.next_root = data.num_conditions() + 1;
-  o.resume.options_hash = RegClusterMiner::SemanticOptionsHash(o);
-  EXPECT_FALSE(RegClusterMiner(data, o).Mine().ok());
+  const int c = data.num_conditions();
+  const struct {
+    std::vector<int> roots;
+    util::StatusCode code;
+  } cases[] = {
+      {{c}, util::StatusCode::kOutOfRange},
+      {{0, c + 1}, util::StatusCode::kOutOfRange},
+      {{-1, 2}, util::StatusCode::kOutOfRange},
+      {{3, 1}, util::StatusCode::kInvalidArgument},
+      {{2, 2}, util::StatusCode::kInvalidArgument},
+  };
+  for (const auto& tc : cases) {
+    MinerOptions o = BaseOptions();
+    o.root_set = tc.roots;
+    auto result = RegClusterMiner(data, o).Mine();
+    ASSERT_FALSE(result.ok()) << ::testing::PrintToString(tc.roots);
+    EXPECT_EQ(result.status().code(), tc.code)
+        << ::testing::PrintToString(tc.roots);
+  }
 }
 
 TEST(MinerBudgetTest, BadCheckIntervalRejected) {

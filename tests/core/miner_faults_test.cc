@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -90,13 +91,17 @@ TEST_P(MinerFaultSweep, TokenTripAtAnyPollLeavesValidResumableState) {
     ++truncated_trials;
     EXPECT_EQ(outcome.stop_reason, util::StopReason::kCancelled)
         << "k=" << k;
-    ASSERT_TRUE(outcome.resume.can_resume()) << "k=" << k;
+    ASSERT_LT(outcome.roots_completed, outcome.roots_total) << "k=" << k;
 
-    // Resume (without the faulty token) and splice: must be bit-identical
-    // to the unbudgeted reference.
+    // Resume (without the faulty token) by mining the roots the cut run did
+    // not include, and splice: must be bit-identical to the unbudgeted
+    // reference.
     MinerOptions rest = FaultOptions();
     rest.num_threads = threads;
-    rest.resume = outcome.resume;
+    rest.root_set.resize(
+        static_cast<size_t>(data.num_conditions() - outcome.roots_completed));
+    std::iota(rest.root_set.begin(), rest.root_set.end(),
+              outcome.roots_completed);
     RegClusterMiner tail_miner(data, rest);
     auto tail = tail_miner.Mine();
     ASSERT_TRUE(tail.ok()) << "k=" << k;
@@ -133,7 +138,7 @@ TEST(MinerFaultsTest, BackToBackFaultedMinesOnOneMinerObject) {
     ASSERT_TRUE(second.ok());
     EXPECT_TRUE(second->empty());
     EXPECT_EQ(miner.outcome().status, MineStatus::kTruncated);
-    EXPECT_EQ(miner.outcome().resume.next_root, 0);
+    EXPECT_EQ(miner.outcome().roots_completed, 0);
   }
 
   RegClusterMiner clean(data, FaultOptions());

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -126,9 +127,9 @@ TEST(MinerOutOfCoreTest, CacheStatsInvariantAcrossIdenticalSerialRuns) {
 }
 
 TEST(MinerOutOfCoreTest, ResumeTokenSplicesAcrossPaths) {
-  // Truncate an eager resident run, then finish it on the out-of-core path:
-  // the concatenation must equal the untruncated resident answer.  The
-  // semantic hash excludes the cache knobs, so the token is accepted.
+  // Truncate an eager resident run, then mine the roots it did not include
+  // on the out-of-core path: the concatenation must equal the untruncated
+  // resident answer (root slices do not depend on the model path).
   const auto ds = Dataset();
   auto reference = RegClusterMiner(ds.data, BaseOptions()).Mine();
   ASSERT_TRUE(reference.ok());
@@ -139,12 +140,15 @@ TEST(MinerOutOfCoreTest, ResumeTokenSplicesAcrossPaths) {
   auto head = first.Mine();
   ASSERT_TRUE(head.ok());
   ASSERT_EQ(first.outcome().status, MineStatus::kTruncated);
-  ASSERT_TRUE(first.outcome().resume.can_resume());
+  const int done = first.outcome().roots_completed;
+  ASSERT_LT(done, first.outcome().roots_total);
 
   MinerOptions rest = BaseOptions();
   rest.model_cache_bytes = 32 << 10;  // continue out-of-core
   rest.num_threads = 2;
-  rest.resume = first.outcome().resume;
+  rest.root_set.resize(
+      static_cast<size_t>(ds.data.num_conditions() - done));
+  std::iota(rest.root_set.begin(), rest.root_set.end(), done);
   RegClusterMiner second(ds.data, rest);
   auto tail = second.Mine();
   ASSERT_TRUE(tail.ok());

@@ -224,7 +224,6 @@ TEST(OptionsTable, HashChangesIfAndOnlyIfASemanticRowChanges) {
   o.profile_phases = true;
   o.capture_root_results = true;
   o.root_set = {0};
-  o.resume.next_root = 3;
   EXPECT_EQ(RegClusterMiner::SemanticOptionsHash(o), base_hash);
 }
 

@@ -16,8 +16,11 @@
 
 #include "io/checkpoint.h"
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "gmock/gmock.h"
@@ -124,13 +127,10 @@ Checkpoint SweepFixture() {
   s.num_conditions = 12;
   s.first_unfinished = 2;
   s.runs_total = 4;
-  s.truncated = 0;
-  s.stop_reason = 0;
-  s.index_builds = 1;
-  s.shared_model_bytes = 65536;
-  s.wall_seconds = 3.5;
-  SweepRunSnapshot ok_run;
-  ok_run.index = 0;
+  s.report.index_builds = 1;
+  s.report.shared_model_bytes = 65536;
+  s.report.wall_seconds = 3.5;
+  core::SweepRun ok_run;
   ok_run.executed = true;
   ok_run.used_shared_model = true;
   ok_run.stats.nodes_expanded = 500;
@@ -140,11 +140,10 @@ Checkpoint SweepFixture() {
   ok_run.outcome.roots_completed = 12;
   ok_run.outcome.roots_total = 12;
   ok_run.clusters = {MakeCluster(2)};
-  SweepRunSnapshot failed_run;
-  failed_run.index = 1;
+  core::SweepRun failed_run;
   failed_run.executed = false;
   failed_run.status = util::Status::InvalidArgument("gamma out of range");
-  s.runs = {ok_run, failed_run};
+  s.report.runs = {ok_run, failed_run};
   return ckpt;
 }
 
@@ -211,22 +210,26 @@ TEST(CheckpointWireTest, SweepRoundTripPreservesRunsAndStatuses) {
   EXPECT_EQ(s.matrix_hash, w.matrix_hash);
   EXPECT_EQ(s.first_unfinished, w.first_unfinished);
   EXPECT_EQ(s.runs_total, w.runs_total);
-  EXPECT_EQ(s.index_builds, w.index_builds);
-  EXPECT_EQ(s.shared_model_bytes, w.shared_model_bytes);
-  EXPECT_EQ(s.wall_seconds, w.wall_seconds);
-  ASSERT_EQ(s.runs.size(), 2u);
-  EXPECT_EQ(s.runs[0].index, 0);
-  EXPECT_TRUE(s.runs[0].executed);
-  EXPECT_TRUE(s.runs[0].used_shared_model);
-  EXPECT_EQ(s.runs[0].stats.nodes_expanded, 500);
-  EXPECT_EQ(s.runs[0].outcome.nodes_visited, 512);
-  EXPECT_EQ(s.runs[0].outcome.roots_completed, 12);
-  ASSERT_EQ(s.runs[0].clusters.size(), 1u);
-  EXPECT_EQ(s.runs[0].clusters[0], w.runs[0].clusters[0]);
-  EXPECT_EQ(s.runs[1].index, 1);
-  EXPECT_FALSE(s.runs[1].executed);
-  EXPECT_EQ(s.runs[1].status.code(), util::StatusCode::kInvalidArgument);
-  EXPECT_THAT(s.runs[1].status.message(), HasSubstr("gamma out of range"));
+  const core::SweepReport& r = s.report;
+  const core::SweepReport& wr = w.report;
+  EXPECT_EQ(r.index_builds, wr.index_builds);
+  EXPECT_EQ(r.shared_model_bytes, wr.shared_model_bytes);
+  EXPECT_EQ(r.wall_seconds, wr.wall_seconds);
+  // The aggregates over the run records are derived on decode.
+  EXPECT_EQ(r.runs_executed, 1);
+  EXPECT_EQ(r.nodes_total, 500);
+  EXPECT_EQ(r.clusters_total, 1);
+  ASSERT_EQ(r.runs.size(), 2u);
+  EXPECT_TRUE(r.runs[0].executed);
+  EXPECT_TRUE(r.runs[0].used_shared_model);
+  EXPECT_EQ(r.runs[0].stats.nodes_expanded, 500);
+  EXPECT_EQ(r.runs[0].outcome.nodes_visited, 512);
+  EXPECT_EQ(r.runs[0].outcome.roots_completed, 12);
+  ASSERT_EQ(r.runs[0].clusters.size(), 1u);
+  EXPECT_EQ(r.runs[0].clusters[0], wr.runs[0].clusters[0]);
+  EXPECT_FALSE(r.runs[1].executed);
+  EXPECT_EQ(r.runs[1].status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_THAT(r.runs[1].status.message(), HasSubstr("gamma out of range"));
 }
 
 TEST(CheckpointWireTest, BufferPathAlternatesByGenerationParity) {
@@ -263,15 +266,21 @@ TEST(CheckpointCorruptionTest, UnsupportedVersion) {
 }
 
 TEST(CheckpointCorruptionTest, VersionOneAsksForARestart) {
-  // Version 1 stored a cluster prefix instead of the root ledger; it is a
-  // named precondition failure, not corruption.
-  std::string bytes = EncodeCheckpoint(MineFixture());
-  bytes[8] = 1;
-  auto got = DecodeCheckpoint(bytes);
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), util::StatusCode::kFailedPrecondition);
-  EXPECT_THAT(got.status().message(), HasSubstr("version 1"));
-  EXPECT_THAT(got.status().message(), HasSubstr("delete the snapshot"));
+  // Version 1 stored a cluster prefix instead of the root ledger, version 2
+  // a resume token per sweep run; either is a named precondition failure,
+  // not corruption.
+  for (const char version : {1, 2}) {
+    for (const Checkpoint& ckpt : {MineFixture(), SweepFixture()}) {
+      std::string bytes = EncodeCheckpoint(ckpt);
+      bytes[8] = version;
+      auto got = DecodeCheckpoint(bytes);
+      ASSERT_FALSE(got.ok());
+      EXPECT_EQ(got.status().code(), util::StatusCode::kFailedPrecondition);
+      EXPECT_THAT(got.status().message(),
+                  HasSubstr("version " + std::to_string(version)));
+      EXPECT_THAT(got.status().message(), HasSubstr("delete the snapshot"));
+    }
+  }
 }
 
 TEST(CheckpointCorruptionTest, EndiannessMismatch) {
@@ -319,20 +328,82 @@ TEST(CheckpointCorruptionTest, TrailingBytesAfterFooter) {
 // CRC-valid sweep snapshots whose run records contradict the aggregate:
 // resuming them would double-count a point or leave one unmined.
 TEST(CheckpointCorruptionTest, SweepRunRecordsOutOfOrder) {
-  Checkpoint ckpt = SweepFixture();
-  ckpt.sweep.runs[1] = ckpt.sweep.runs[0];  // point 0 twice
-  ExpectCorruption(EncodeCheckpoint(ckpt), "sweep run records out of order");
+  // Swap the two (individually CRC-framed) run records: every frame stays
+  // valid, only the order is wrong.
+  const std::string bytes = EncodeCheckpoint(SweepFixture());
+  util::RecordReader reader(std::string_view(bytes).substr(28));
+  std::vector<std::string> records;
+  while (!reader.AtEnd()) {
+    auto rec = reader.Next();
+    ASSERT_TRUE(rec.ok());
+    records.emplace_back(*rec);
+  }
+  ASSERT_EQ(records.size(), 5u);  // context, aggregate, 2 runs, end
+  std::swap(records[2], records[3]);
+  std::string swapped = bytes.substr(0, 28);
+  for (const std::string& rec : records) util::AppendRecord(&swapped, rec);
+  ExpectCorruption(swapped, "sweep run records out of order");
 }
 
 TEST(CheckpointCorruptionTest, SweepRunCountDisagreesWithProgress) {
   Checkpoint ckpt = SweepFixture();  // first_unfinished = 2
-  ckpt.sweep.runs.pop_back();
+  ckpt.sweep.report.runs.pop_back();
   ExpectCorruption(EncodeCheckpoint(ckpt),
                    "sweep run count disagrees with first_unfinished");
   Checkpoint complete = SweepFixture();
   complete.sweep.first_unfinished = -1;  // complete needs all 4 points
   ExpectCorruption(EncodeCheckpoint(complete),
                    "sweep run count disagrees with first_unfinished");
+}
+
+// CRC-valid snapshots whose field values lie outside their domain: the
+// record is patched, then re-framed so every checksum still holds.
+std::string PatchRecord(const std::string& bytes, size_t index,
+                        size_t offset, uint64_t value, int width) {
+  util::RecordReader reader(std::string_view(bytes).substr(28));
+  std::string out = bytes.substr(0, 28);
+  for (size_t i = 0; !reader.AtEnd(); ++i) {
+    auto rec = reader.Next();
+    EXPECT_TRUE(rec.ok());
+    std::string payload(*rec);
+    if (i == index) {
+      for (int b = 0; b < width; ++b) {
+        payload[offset + b] = static_cast<char>(value >> (8 * b));
+      }
+    }
+    util::AppendRecord(&out, payload);
+  }
+  return out;
+}
+
+TEST(CheckpointCorruptionTest, SweepEnumsOutsideTheirDomain) {
+  // Record 1 is the aggregate: tag, first_unfinished, runs_total, then the
+  // status at byte 20 and the stop reason at 24.  Record 2 is the first
+  // run: tag, index, status code at byte 8, ..., its outcome's stop reason
+  // at 156 (after an empty message, two flags and the stats).
+  const std::string bytes = EncodeCheckpoint(SweepFixture());
+  ExpectCorruption(PatchRecord(bytes, 1, 20, 2, 4), "field status");
+  ExpectCorruption(PatchRecord(bytes, 1, 24, 6, 4), "field stop_reason");
+  ExpectCorruption(PatchRecord(bytes, 2, 8, 9, 4), "field run status code");
+  ExpectCorruption(PatchRecord(bytes, 2, 156, 6, 4),
+                   "field outcome stop_reason");
+}
+
+TEST(CheckpointCorruptionTest, NegativeOrOverflowingCountersAreRejected) {
+  // A resumed run subtracts the stored counters from the user's budgets, so
+  // a negative one would let it run past --max-nodes and two INT64_MAX
+  // slices would overflow the summed stats.  Ledger root records carry
+  // nodes_expanded at byte 8 (after the tag and the root id); sweep run
+  // records at byte 24.
+  const std::string mine = EncodeCheckpoint(MineFixture());
+  ExpectCorruption(PatchRecord(mine, 1, 8, static_cast<uint64_t>(-1), 8),
+                   "field nodes_expanded");
+  constexpr uint64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::string one_max = PatchRecord(mine, 1, 8, kMax, 8);
+  ExpectCorruption(PatchRecord(one_max, 2, 8, kMax, 8), "field nodes_expanded");
+  const std::string sweep = EncodeCheckpoint(SweepFixture());
+  ExpectCorruption(PatchRecord(sweep, 2, 24, static_cast<uint64_t>(-5), 8),
+                   "field nodes_expanded");
 }
 
 TEST(CheckpointCorruptionTest, EveryTruncationPointIsRejected) {
@@ -656,6 +727,32 @@ TEST(RunCheckpointedMineTest, FreshRunMatchesPlainMineAndSnapshotsComplete) {
   ExpectSameClusters(final_ckpt->mine.ledger.Output(), want.clusters);
 }
 
+TEST(RunCheckpointedMineTest, AsynchronousWriterMatchesPlainMine) {
+  // The latest-wins writer thread the CLI uses, under the most frequent
+  // cadence: snapshots race the chunks, the output must not.
+  const matrix::ExpressionMatrix data = TestMatrix();
+  core::MinerOptions options = TestOptions();
+  options.num_threads = 4;
+  const PlainMineResult want = PlainMine(data, options);
+
+  CheckpointConfig config;
+  config.path = TempPath("ckm_async");
+  config.synchronous = false;
+  config.initial_chunk_nodes = 1;
+  config.every_ms = 1;
+  auto got = RunCheckpointedMine(data, options, config, nullptr);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectSameClusters(got->clusters, want.clusters);
+  ExpectSameDeterministicStats(got->stats, want.stats);
+  EXPECT_TRUE(got->checkpoint_status.ok());
+  EXPECT_GE(got->checkpoint.writes, 1);
+
+  auto final_ckpt = LoadCheckpoint(config.path);
+  ASSERT_TRUE(final_ckpt.ok()) << final_ckpt.status().ToString();
+  EXPECT_TRUE(final_ckpt->mine.complete());
+  ExpectSameClusters(final_ckpt->mine.ledger.Output(), want.clusters);
+}
+
 TEST(RunCheckpointedMineTest, ResumeFromMidRunSnapshotIsByteIdentical) {
   const matrix::ExpressionMatrix data = TestMatrix();
   const core::MinerOptions options = TestOptions();
@@ -691,6 +788,38 @@ TEST(RunCheckpointedMineTest, ResumeFromMidRunSnapshotIsByteIdentical) {
   ExpectSameClusters(resumed->clusters, want.clusters);
   ExpectSameDeterministicStats(resumed->stats, want.stats);
   EXPECT_EQ(resumed->checkpoint.resumes, 1);
+}
+
+TEST(RunCheckpointedMineTest, ResumeUnderSpentBudgetStaysTruncated) {
+  // The resumed run charges the ledger's nodes to the user's budget; a
+  // budget the ledger already exceeds leaves nothing to mine -- it must not
+  // wrap into "no budget" and mine the rest.
+  const matrix::ExpressionMatrix data = TestMatrix();
+  const core::MinerOptions options = TestOptions();
+  CheckpointConfig config;
+  config.path = TempPath("ckm_spent");
+  config.synchronous = true;
+  config.initial_chunk_nodes = 64;
+  config.every_ms = 1;
+  ASSERT_TRUE(RunCheckpointedMine(data, options, config, nullptr).ok());
+  auto final_ckpt = LoadCheckpoint(config.path);
+  ASSERT_TRUE(final_ckpt.ok());
+  auto midrun = LoadCheckpoint(
+      CheckpointBufferPath(config.path, final_ckpt->generation + 1));
+  ASSERT_TRUE(midrun.ok()) << midrun.status().ToString();
+  const int64_t covered = midrun->mine.ledger.next_root();
+  ASSERT_GT(covered, 0);
+  ASSERT_GT(midrun->mine.ledger.SummedStats().nodes_expanded, 1);
+
+  core::MinerOptions spent = options;
+  spent.max_nodes = 1;
+  auto resumed =
+      RunCheckpointedMine(data, spent, CheckpointConfig{}, &midrun->mine);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed->outcome.status, core::MineStatus::kTruncated);
+  EXPECT_EQ(resumed->outcome.stop_reason, util::StopReason::kNodeBudget);
+  EXPECT_EQ(resumed->outcome.roots_completed, covered);
+  ExpectSameClusters(resumed->clusters, midrun->mine.ledger.Output());
 }
 
 TEST(RunCheckpointedMineTest, CompleteSnapshotShortCircuits) {

@@ -415,6 +415,20 @@ TEST_F(ServiceDispatch, SweepPointsWithHostileOptionsDoNotKillTheSweep) {
   EXPECT_EQ(health.http_status, 200);
 }
 
+TEST_F(ServiceDispatch, SweepPointsWithEqualButDistinctGammasBothMine) {
+  // 0 and -0.0 compare equal but are distinct gamma specs (models and the
+  // semantic hash key on the bits): each point must get a model built for
+  // its own spec, never the other's, and mine like `mine --sweep` does.
+  const ServiceResponse r = service_.HandleHttp(
+      "POST", "/sweep",
+      TinyMineBody("\"ming\":2,\"minc\":3,"
+                   "\"spec\":\"[{\\\"gamma\\\":0},{\\\"gamma\\\":-0.0}]\""));
+  ASSERT_EQ(r.http_status, 200) << r.body;
+  EXPECT_EQ(r.body.find("different gamma spec"), std::string::npos) << r.body;
+  EXPECT_NE(r.body.find("\"runs_executed\": 2"), std::string::npos)
+      << r.body;
+}
+
 TEST_F(ServiceDispatch, OversizedSweepSpecIsRejectedBeforeExpansion) {
   // A few dozen bytes of spec naming 1e12 (or 1e7) points: a 400 from the
   // spec's counted size, never an expansion up to the point limit.

@@ -902,7 +902,7 @@ int CmdMine(Flags* flags) {
         "warning: below are a canonical prefix of the full result"
         " (resume root %d)\n",
         util::StopReasonName(outcome.stop_reason), outcome.roots_completed,
-        outcome.roots_total, outcome.resume.next_root);
+        outcome.roots_total, outcome.roots_completed);
     if (durable && !ckpt_config.path.empty()) {
       std::fprintf(stderr,
                    "warning: checkpoint saved; re-run the same command with\n"
